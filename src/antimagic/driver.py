@@ -25,6 +25,7 @@ from .labelers import (
     even_right_steps,
     special_instance_labeling,
     is_special_instance,
+    is_type_a,
     odd_right_steps,
     type_a_steps,
     type_bc_steps,
@@ -100,7 +101,7 @@ def _label_residue(c: CanonicalDoubleSpider, trace: list[str] | None) -> Labeled
                                                    key=lambda kv: kv[1]))
         return lt
     p = derive_parameters(c)
-    if p.a == 2 and p.b == 0 and p.x == (0, 0) and p.t == 2 and p.c == 0 and p.d == 0:
+    if is_type_a(p):
         _note(trace, f"type-(a) labeling of residue {_instance_note(c)}")
         return _from_steps(c, type_a_steps(p), trace)
     _note(trace, f"type-(b)/(c) labeling of residue {_instance_note(c)}")

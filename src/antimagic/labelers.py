@@ -59,8 +59,13 @@ def _as_labeling(p: Parameters, events: list[StepEvent]) -> EdgeLabeling:
 # ---------------------------------------------------------------------------
 
 
+def is_type_a(p: Parameters) -> bool:
+    """Two unit paths on each side and nothing else."""
+    return p.a == 2 and p.b == 0 and p.x == (0, 0) and p.t == 2 and p.c == 0 and p.d == 0
+
+
 def _check_type_a(p: Parameters) -> None:
-    if not (p.a == 2 and p.b == 0 and p.x == (0, 0) and p.t == 2 and p.c == 0 and p.d == 0):
+    if not is_type_a(p):
         raise UnsupportedCase("type (a) needs two unit paths on each side and nothing else")
 
 
@@ -371,13 +376,22 @@ def label_odd_right(p: Parameters) -> EdgeLabeling:
 # Even-right case: deg(vl) > deg(vr), at least one even right path
 # ---------------------------------------------------------------------------
 #
-# One narrow family needs special treatment: three unit paths on the left,
-# exactly two even right paths both of length >= 4, and an even core.  The
-# published step order ties the two hub sums there (the switch bookkeeping
-# assumes a length-2 right path exists, and none does).  For an s = 2 core a
-# single swap of two consecutive labels restores the strict gap; for longer
-# even cores we keep the low half of the labeling and complete the high half
-# with a small exact search, verifying the result.
+# One narrow family needs a repair: three unit paths on the left, exactly
+# two even right paths of lengths 2u <= 2v with u >= 2, and an even core s.
+# The printed step order assumes a length-2 right path exists; with none it
+# ties the hub sums, vl = vr.  Write h = s/2, w = u+v+h-1, m = 2u+2v+s+3.
+# From vr outwards the switched path R/even/1 carries w, m-1, w+4, 1, w+5,
+# 2, ..., u-1, and the leaf sums are u-1, w-1, w+1, w+2, w+3.  The degree-2
+# sums lie in increasing runs [w+5, w+2u+1] (R/even/1), [m+w-2v-s,
+# m+w-2v-3] (core), [m+w-2v-1, m+w-3] (R/even/2), then m+w-1, m+w+3 and
+# 2m-v-h-1 (the core vertex next to vr), so they are distinct.
+#
+# The repair reverses the labels along R/even/1.  That permutes the sums of
+# its inner vertices among themselves, so exactly two sums move:
+#   - its leaf gets w, so the leaf sums become w-1..w+3, below w+5;
+#   - vr drops by w-(u-1) = v+h to 2m+u-v-2, which is v+h below vl and
+#     u+h-1 >= 2 above the largest degree-2 sum.
+# The same rule covers s = 2.
 
 
 @dataclass(frozen=True)
@@ -564,102 +578,11 @@ def _even_right_printed(p: Parameters, ctx: EvenCaseContext) -> list[StepEvent]:
 
 
 def _hub_gap_repair_events(p: Parameters, ctx: EvenCaseContext) -> list[StepEvent]:
-    """Patched labeling for the tied-hub family (see the note above)."""
-    if p.s == 2:
-        # The top core edge label and the top even path's hub label are
-        # consecutive; exchanging them moves the hub sums one apart without
-        # disturbing any other vertex pair.
-        events = _even_right_printed(p, ctx)
-        a1, a2 = EdgeAddress.core(1), EdgeAddress.r_even(p.b, 1)
-        by_addr = {ev.address: ev.label for ev in events}
-        swap = {a1: by_addr[a2], a2: by_addr[a1]}
-        return [StepEvent(ev.step, ev.address, swap.get(ev.address, ev.label))
-                for ev in events]
-    return _hub_gap_completion_events(p)
-
-
-def _hub_gap_low_zone(p: Parameters) -> dict[EdgeAddress, int]:
-    """Labels 1..w+3 exactly as the printed rules place them (shifted by the
-    hub edge of the switched path, which moves to the searched high zone)."""
-    u, v, s = p.y[0], p.y[1], p.s
-    w = u + v + (s - 2) // 2
-    low = {EdgeAddress.r_even(1, 1): 1}
-    for j in _evens(4, 2 * u):
-        low[EdgeAddress.r_even(1, j)] = 1 + (j - 2) // 2
-    for j in _evens(2, 2 * v):
-        low[EdgeAddress.r_even(2, j)] = u + j // 2
-    for j in _evens(2, s - 2):
-        low[EdgeAddress.core(j)] = u + v + (s - j) // 2
-    for i in (1, 2, 3):
-        low[EdgeAddress.l_unit(i)] = w + i
-    return low
-
-
-def _hub_gap_completion_events(p: Parameters) -> list[StepEvent]:
-    """Complete the low zone by exact search over the remaining edges.
-
-    The high zone holds u+v+s/2+1 edges; labels go in descending from m-1
-    with the degree-monotonicity checks applied as vertices finish.  The
-    search is deterministic and, on this family, finds a completion almost
-    immediately for any instance of practical size.
-    """
-    low = _hub_gap_low_zone(p)
-    low[EdgeAddress.core(p.s)] = p.m
-    spider = materialize_tree(
-        CanonicalDoubleSpider(p.s, (1, 1, 1), tuple(2 * yi for yi in p.y)))
-    tree = spider.tree
-    degs = tree.degrees
-    sums = {x: 0 for x in tree.vertices}
-    remaining = dict(degs)
-    for addr, label in low.items():
-        for x in spider.edge_of[addr]:
-            sums[x] += label
-            remaining[x] -= 1
-    floor = max(label for label in low.values() if label < p.m)
-    high_edges = sorted((a for a in spider.edge_of if a not in low),
-                        key=lambda a: (a.kind, a.i, a.j))
-    verts = list(tree.vertices)
-    assigned: dict[EdgeAddress, int] = {}
-
-    def consistent(x: str) -> bool:
-        sx, dx = sums[x], degs[x]
-        for y in verts:
-            if remaining[y] != 0 or y == x:
-                continue
-            sy, dy = sums[y], degs[y]
-            if sx == sy or (dx < dy and sx > sy) or (dy < dx and sy > sx):
-                return False
-        return True
-
-    def place(label: int) -> bool:
-        if label == floor:
-            return True
-        for a in high_edges:
-            if a in assigned:
-                continue
-            assigned[a] = label
-            finished = []
-            for x in spider.edge_of[a]:
-                sums[x] += label
-                remaining[x] -= 1
-                if remaining[x] == 0:
-                    finished.append(x)
-            if all(consistent(x) for x in finished) and place(label - 1):
-                return True
-            del assigned[a]
-            for x in spider.edge_of[a]:
-                sums[x] -= label
-                remaining[x] += 1
-        return False
-
-    if not place(p.m - 1):
-        raise AssertionError("no completion exists for the tied-hub family instance")
-    events = [StepEvent(1, a, low[a]) for a in sorted(low, key=lambda a: low[a])
-              if a != EdgeAddress.core(p.s)]
-    events.extend(StepEvent(2, a, assigned[a])
-                  for a in sorted(assigned, key=lambda a: assigned[a]))
-    events.append(StepEvent(3, EdgeAddress.core(p.s), p.m))
-    return events
+    """The printed labeling with path R/even/1 reversed (see the note above)."""
+    n = 2 * p.y[0] + 1
+    return [StepEvent(ev.step, EdgeAddress.r_even(1, n - ev.address.j), ev.label)
+            if ev.address == EdgeAddress.r_even(1, ev.address.j) else ev
+            for ev in _even_right_printed(p, ctx)]
 
 
 def label_even_right(p: Parameters, ctx: EvenCaseContext | None = None) -> EdgeLabeling:

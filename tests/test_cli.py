@@ -38,6 +38,17 @@ def test_label_missing_file(tmp_path):
     assert main(["label", "--spec", str(tmp_path / "nope.txt")]) == 1
 
 
+def test_label_unverified_construction_is_internal_bug(tmp_path, monkeypatch, capsys):
+    # without its repair the hub-gap family keeps the tied printed labeling
+    monkeypatch.setattr("antimagic.labelers.needs_hub_gap_repair", lambda p: False)
+    spec = tmp_path / "tied.txt"
+    spec.write_text("core = 4\nleft = 1,1,1\nright = 6,6\n")
+    out = tmp_path / "tied.lab"
+    assert main(["label", "--spec", str(spec), "--out", str(out)]) == 3
+    assert not out.exists()
+    assert "internal error" in capsys.readouterr().err
+
+
 def test_verify_round_trip(tmp_path, special_spec):
     out = tmp_path / "special.lab"
     main(["label", "--spec", str(special_spec), "--out", str(out)])

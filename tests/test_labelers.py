@@ -275,16 +275,21 @@ def test_even_right_top_hub_beats_previous_core_edge():
 # --- the repaired family ------------------------------------------------------
 
 def test_hub_gap_family_members_pass():
-    for s in (2, 4, 6, 8):
-        for u, v in ((2, 2), (2, 3), (3, 3), (2, 5), (4, 4)):
-            inst = CanonicalDoubleSpider(s, (1, 1, 1), (2 * u, 2 * v))
-            p = derive_parameters(inst)
-            assert needs_hub_gap_repair(p)
-            lab = label_even_right(p)
-            assert lab.assignment[EdgeAddress.core(p.s)] == p.m
-            rep = verify_strongly_antimagic(materialize_tree(inst), lab)
-            assert rep.strong_ok, (s, u, v, rep.violation)
-            assert rep.sums["vl"] > rep.sums["vr"]
+    members = [(s, u, v) for s in (2, 4, 8, 16, 40)
+               for u, v in ((2, 2), (2, 19), (3, 3), (5, 12), (10, 19))]
+    members.append((200, 2, 900))  # m = 2007
+    for s, u, v in members:
+        inst = CanonicalDoubleSpider(s, (1, 1, 1), (2 * u, 2 * v))
+        p = derive_parameters(inst)
+        assert needs_hub_gap_repair(p)
+        lab = label_even_right(p)
+        assert lab.assignment[EdgeAddress.core(p.s)] == p.m
+        # the closed form: R/even/1 is the printed path reversed
+        assert lab.assignment[EdgeAddress.r_even(1, 1)] == u - 1
+        assert lab.assignment[EdgeAddress.r_even(1, 2 * u)] == u + v + (s - 2) // 2
+        rep = verify_strongly_antimagic(materialize_tree(inst), lab)
+        assert rep.strong_ok, (s, u, v, rep.violation)
+        assert rep.sums["vl"] > rep.sums["vr"]
 
 
 def test_hub_gap_family_odd_core_unaffected():
