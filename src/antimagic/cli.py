@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import fileio
 from .driver import strongly_antimagic_label
-from .labeling import EdgeLabeling, verify_strongly_antimagic
+from .labeling import EdgeLabeling, first_duplicate, verify_strongly_antimagic
 from .oracle import SearchBudget, find_antimagic, find_strongly_antimagic
 from .spiders import canonicalize, materialize_tree
 from .sweep import format_report, run_sweep
@@ -87,7 +87,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print("ok: labeling is strongly antimagic")
         return EXIT_OK
     if not report.antimagic_ok:
-        print(f"fail: {report.violation.describe()}")
+        print(f"fail: {first_duplicate(report).describe()}")
         return EXIT_PROPERTY_FAIL
     print("ok: labeling is antimagic")
     return EXIT_OK

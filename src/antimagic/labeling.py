@@ -8,6 +8,7 @@ antimagic when additionally deg(u) < deg(v) implies sum(u) < sum(v).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -81,8 +82,56 @@ def _resolve(tree: Tree | SpiderTree, labeling) -> tuple[Tree, dict[Edge, int], 
     return base, labels, len(labels)
 
 
+def _first_pair(
+    order: list[str], sums: dict[str, int], degrees: dict[str, int], degree_order: bool
+) -> SumViolation | None:
+    """The pair a pairwise scan over ``order`` reports first, in O(V) plus one tail.
+
+    The scan takes each u in order and, within u, each later v in order; it
+    stops at the first v with sum(v) == sum(u) ("duplicate-sum") or, when
+    ``degree_order`` is set, with deg(u) < deg(v) and sum(u) > sum(v)
+    ("degree-order").  Whether u has such a v is an O(1) test: its sum recurs
+    at a later position, or the least sum over the higher degree classes is
+    below it.  Only the first u that passes the test has its tail scanned.
+    """
+    n = len(order)
+    s = [sums[v] for v in order]
+    last = {x: i for i, x in enumerate(s)}
+    # above[i]: least sum over the degree classes after order[i]'s class
+    above = [0] * n
+    low = tail = math.inf
+    for i in range(n - 1, -1, -1):
+        if i + 1 < n and degrees[order[i]] != degrees[order[i + 1]]:
+            low = tail
+        above[i] = low
+        tail = min(tail, s[i])
+    for i, u in enumerate(order):
+        su = s[i]
+        if last[su] > i or (degree_order and above[i] < su):
+            du = degrees[u]
+            for v in order[i + 1:]:
+                sv, dv = sums[v], degrees[v]
+                if sv == su:
+                    return SumViolation(u, v, su, sv, du, dv, "duplicate-sum")
+                if degree_order and du < dv and su > sv:
+                    return SumViolation(u, v, su, sv, du, dv, "degree-order")
+    return None
+
+
 def vertex_sums(tree: Tree | SpiderTree, labeling) -> VertexSumReport:
-    """Compute per-vertex label sums plus all property flags.
+    """Compute per-vertex label sums plus all property flags, in O(V log V).
+
+    A bijective labeling is strongly antimagic iff sorting the vertices by
+    (degree, sum) gives strictly increasing sums: equal sums sort next to each
+    other within a degree class, and a higher-degree vertex with a smaller sum
+    breaks the increase where its class begins.  ``antimagic_ok`` is the
+    all-sums-distinct test on its own.
+
+    When the strong property fails, ``violation`` is the first pair of a
+    pairwise scan over the vertices ordered by (degree, id): the first u that
+    has a later v with an equal sum, or a later v of higher degree with a
+    smaller sum, paired with the first such v.  A non-bijective labeling gets
+    the "bad-bijection" violation and all flags False.
 
     Raises LabelingError when the labeled edge set differs from the tree's.
     """
@@ -99,30 +148,23 @@ def vertex_sums(tree: Tree | SpiderTree, labeling) -> VertexSumReport:
     if bijection_ok:
         assert sum(sums.values()) == m * (m + 1)
 
+    degrees = base.degrees
+    order = sorted(base.vertices, key=lambda v: (degrees[v], v))
     classes: dict[int, list[str]] = {}
-    for v in base.vertices:
-        classes.setdefault(base.degree(v), []).append(v)
-    degree_classes = {k: tuple(sorted(vs)) for k, vs in sorted(classes.items())}
+    for v in order:
+        classes.setdefault(degrees[v], []).append(v)
+    degree_classes = {k: tuple(vs) for k, vs in classes.items()}
 
     violation = None
     antimagic_ok = strong_ok = bijection_ok
     if not bijection_ok:
         violation = SumViolation("", "", 0, 0, 0, 0, "bad-bijection")
     else:
-        order = sorted(base.vertices, key=lambda v: (base.degree(v), v))
-        for idx, u in enumerate(order):
-            for v in order[idx + 1:]:
-                du, dv = base.degree(u), base.degree(v)
-                if sums[u] == sums[v]:
-                    violation = SumViolation(u, v, sums[u], sums[v], du, dv, "duplicate-sum")
-                    antimagic_ok = strong_ok = False
-                elif du < dv and sums[u] > sums[v]:
-                    violation = SumViolation(u, v, sums[u], sums[v], du, dv, "degree-order")
-                    strong_ok = False
-                if violation is not None:
-                    break
-            if violation is not None:
-                break
+        ranked = sorted((degrees[v], sums[v]) for v in order)
+        if any(a[1] >= b[1] for a, b in zip(ranked, ranked[1:])):
+            antimagic_ok = len(set(sums.values())) == len(sums)
+            strong_ok = False
+            violation = _first_pair(order, sums, degrees, degree_order=True)
 
     return VertexSumReport(
         sums=sums,
@@ -132,6 +174,16 @@ def vertex_sums(tree: Tree | SpiderTree, labeling) -> VertexSumReport:
         strong_ok=strong_ok,
         violation=violation,
     )
+
+
+def first_duplicate(report: VertexSumReport) -> SumViolation | None:
+    """The first "duplicate-sum" pair in (degree, id) order, or None if all sums differ.
+
+    It is ``report.violation`` whenever that is a duplicate-sum pair.
+    """
+    order = [v for vs in report.degree_classes.values() for v in vs]
+    degrees = {v: k for k, vs in report.degree_classes.items() for v in vs}
+    return _first_pair(order, report.sums, degrees, degree_order=False)
 
 
 def verify_bijection(labeling: EdgeLabeling | Mapping) -> bool:

@@ -91,6 +91,22 @@ def test_verify_repeated_label_is_property_failure(tmp_path, special_spec, capsy
     assert "bijection" in capsys.readouterr().out
 
 
+def test_verify_names_duplicate_behind_degree_order(tmp_path, capsys):
+    # the strong scan stops at a degree-order pair first, but
+    # R/odd/1/1 and L/even/1/2 both sum to 3, so the labeling is not antimagic
+    spec = tmp_path / "spec.txt"
+    spec.write_text("core = 1\nleft = 1,2\nright = 1,1\n")
+    lab = tmp_path / "dup.lab"
+    lab.write_text("m = 6\nedge = core/1, label = 6\nedge = R/odd/1/1, label = 3\n"
+                   "edge = R/odd/2/1, label = 5\nedge = L/even/1/1, label = 1\n"
+                   "edge = L/even/1/2, label = 2\nedge = L/unit/1, label = 4\n")
+    assert main(["verify", "--spec", str(spec), "--labeling", str(lab)]) == 2
+    assert capsys.readouterr().out == (
+        "fail: duplicate-sum: phi(R/odd/1/1)=3 (deg 1) vs phi(L/even/1/2)=3 (deg 2)\n")
+    assert main(["verify", "--spec", str(spec), "--labeling", str(lab), "--strong"]) == 2
+    assert capsys.readouterr().out.startswith("fail: degree-order:")
+
+
 def test_verify_mismatched_labeling_is_malformed(tmp_path, special_spec):
     bad = tmp_path / "short.lab"
     bad.write_text("m = 8\nedge = core/1, label = 1\n")

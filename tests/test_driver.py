@@ -79,6 +79,17 @@ def test_every_instance_labels_and_verifies(max_edges):
     assert all(count > 0 for count in by_tag.values())
 
 
+@pytest.mark.parametrize("right, tag", [((3001, 3001), CaseTag.UNEQUAL_ODD_RIGHT),
+                                        ((3000, 3001), CaseTag.UNEQUAL_EVEN_RIGHT)])
+def test_direct_routes_label_large_members(right, tag):
+    # m = 30009 and m = 30008: the verifier must not be quadratic in m
+    spec = DoubleSpiderSpec(7, (4000, 8000, 12000), right)
+    assert classify(derive_parameters(canonicalize(spec))) is tag
+    lt = strongly_antimagic_label(spec)
+    assert lt.total_edges == 7 + 24000 + sum(right)
+    assert lt.report.strong_ok
+
+
 def test_composed_outputs_carry_final_addresses():
     lt = strongly_antimagic_label(DoubleSpiderSpec(2, (2, 2, 2), (2, 2, 2)))
     assignment = lt.labeling.assignment

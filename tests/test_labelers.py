@@ -277,7 +277,7 @@ def test_even_right_top_hub_beats_previous_core_edge():
 def test_hub_gap_family_members_pass():
     members = [(s, u, v) for s in (2, 4, 8, 16, 40)
                for u, v in ((2, 2), (2, 19), (3, 3), (5, 12), (10, 19))]
-    members.append((200, 2, 900))  # m = 2007
+    members += [(200, 2, 900), (2000, 1500, 2500)]  # m = 2007 and m = 10003
     for s, u, v in members:
         inst = CanonicalDoubleSpider(s, (1, 1, 1), (2 * u, 2 * v))
         p = derive_parameters(inst)

@@ -11,6 +11,7 @@ from antimagic import (
     canonicalize,
     enumerate_instances,
     materialize_tree,
+    strongly_antimagic_label,
     verify_antimagic,
     verify_bijection,
     verify_strongly_antimagic,
@@ -18,6 +19,7 @@ from antimagic import (
 )
 from antimagic.labelers import SPECIAL_INSTANCE_ASSIGNMENT
 from antimagic.labelers import SPECIAL_INSTANCE
+from antimagic.labeling import SumViolation, first_duplicate
 from antimagic.trees import edge_key, path_tree
 
 
@@ -72,6 +74,16 @@ def test_verify_antimagic_k2_false():
 
 def test_verify_antimagic_path4_sequential_false():
     assert not verify_antimagic(path_tree(4), path_labels(1, 2, 3))
+
+
+def test_verify_antimagic_sees_duplicate_behind_degree_order():
+    # sums 2,3,4,7,4: the scan's first violation is degree-order (p5 vs p2),
+    # yet p5 and p3 share the sum 4
+    labels = path_labels(2, 1, 3, 4)
+    assert not verify_antimagic(path_tree(5), labels)
+    rep = vertex_sums(path_tree(5), labels)
+    assert rep.violation == SumViolation("p5", "p2", 4, 3, 1, 2, "degree-order")
+    assert first_duplicate(rep) == SumViolation("p5", "p3", 4, 4, 1, 2, "duplicate-sum")
 
 
 def test_verify_antimagic_reports_bad_bijection_distinctly():
@@ -155,3 +167,74 @@ def test_strong_verifier_over_small_enumeration():
                     assert sums[u] != sums[v]
                 if tree.degree(u) < tree.degree(v):
                     assert sums[u] < sums[v]
+
+
+def reference_report(tree, labels):
+    """Quadratic reference: the pairwise scan over (degree, id) order."""
+    m = len(labels)
+    sums = {v: 0 for v in tree.vertices}
+    for (u, v), lab in labels.items():
+        sums[u] += lab
+        sums[v] += lab
+    order = sorted(tree.vertices, key=lambda v: (tree.degree(v), v))
+    classes = {}
+    for v in order:
+        classes.setdefault(tree.degree(v), []).append(v)
+    bijection_ok = sorted(labels.values()) == list(range(1, m + 1))
+    if not bijection_ok:
+        violation = SumViolation("", "", 0, 0, 0, 0, "bad-bijection")
+    else:
+        violation = None
+        for idx, u in enumerate(order):
+            for v in order[idx + 1:]:
+                du, dv = tree.degree(u), tree.degree(v)
+                if sums[u] == sums[v]:
+                    violation = SumViolation(u, v, sums[u], sums[v], du, dv, "duplicate-sum")
+                elif du < dv and sums[u] > sums[v]:
+                    violation = SumViolation(u, v, sums[u], sums[v], du, dv, "degree-order")
+                if violation is not None:
+                    break
+            if violation is not None:
+                break
+    return dict(
+        sums=sums,
+        degree_classes={k: tuple(vs) for k, vs in classes.items()},
+        bijection_ok=bijection_ok,
+        antimagic_ok=bijection_ok and len(set(sums.values())) == len(sums),
+        strong_ok=bijection_ok and violation is None,
+        violation=violation,
+    )
+
+
+@st.composite
+def tampered_instance(draw):
+    """A labeled instance: a permutation, one with a repeated label, or a
+    strongly antimagic labeling with two labels swapped."""
+    spider, labels = draw(labeled_instance())
+    mode = draw(st.sampled_from(["permutation", "repeat", "swap"]))
+    if mode != "permutation":
+        a, b = draw(st.lists(st.sampled_from(sorted(labels)), min_size=2, max_size=2, unique=True))
+        if mode == "repeat":
+            labels[a] = labels[b]
+        else:
+            labels = dict(strongly_antimagic_label(spider.instance).labels)
+            labels[a], labels[b] = labels[b], labels[a]
+    return spider, labels
+
+
+@given(tampered_instance())
+@settings(max_examples=300, deadline=None)
+def test_report_matches_quadratic_reference(case):
+    spider, labels = case
+    rep = vertex_sums(spider.tree, labels)
+    ref = reference_report(spider.tree, labels)
+    assert {k: getattr(rep, k) for k in ref} == ref
+    if rep.bijection_ok and not rep.antimagic_ok:
+        dup = first_duplicate(rep)
+        assert dup.reason == "duplicate-sum" and dup.sum_a == dup.sum_b
+        if ref["violation"].reason == "duplicate-sum":
+            assert dup == ref["violation"]
+        order = [v for vs in ref["degree_classes"].values() for v in vs]
+        firsts = [u for i, u in enumerate(order)
+                  if any(ref["sums"][u] == ref["sums"][v] for v in order[i + 1:])]
+        assert dup.vertex_a == firsts[0]
