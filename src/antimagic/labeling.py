@@ -83,16 +83,16 @@ def _resolve(tree: Tree | SpiderTree, labeling) -> tuple[Tree, dict[Edge, int], 
 
 
 def _first_pair(
-    order: list[str], sums: dict[str, int], degrees: dict[str, int], degree_order: bool
+    order: list[str], sums: dict[str, int], degrees: dict[str, int]
 ) -> SumViolation | None:
     """The pair a pairwise scan over ``order`` reports first, in O(V) plus one tail.
 
     The scan takes each u in order and, within u, each later v in order; it
-    stops at the first v with sum(v) == sum(u) ("duplicate-sum") or, when
-    ``degree_order`` is set, with deg(u) < deg(v) and sum(u) > sum(v)
-    ("degree-order").  Whether u has such a v is an O(1) test: its sum recurs
-    at a later position, or the least sum over the higher degree classes is
-    below it.  Only the first u that passes the test has its tail scanned.
+    stops at the first v with sum(v) == sum(u) ("duplicate-sum") or with
+    deg(u) < deg(v) and sum(u) > sum(v) ("degree-order").  Whether u has such
+    a v is an O(1) test: its sum recurs at a later position, or the least sum
+    over the higher degree classes is below it.  Only the first u that passes
+    the test has its tail scanned.
     """
     n = len(order)
     s = [sums[v] for v in order]
@@ -107,13 +107,13 @@ def _first_pair(
         tail = min(tail, s[i])
     for i, u in enumerate(order):
         su = s[i]
-        if last[su] > i or (degree_order and above[i] < su):
+        if last[su] > i or above[i] < su:
             du = degrees[u]
             for v in order[i + 1:]:
                 sv, dv = sums[v], degrees[v]
                 if sv == su:
                     return SumViolation(u, v, su, sv, du, dv, "duplicate-sum")
-                if degree_order and du < dv and su > sv:
+                if du < dv and su > sv:
                     return SumViolation(u, v, su, sv, du, dv, "degree-order")
     return None
 
@@ -121,16 +121,16 @@ def _first_pair(
 def vertex_sums(tree: Tree | SpiderTree, labeling) -> VertexSumReport:
     """Compute per-vertex label sums plus all property flags, in O(V log V).
 
-    A bijective labeling is strongly antimagic iff sorting the vertices by
-    (degree, sum) gives strictly increasing sums: equal sums sort next to each
-    other within a degree class, and a higher-degree vertex with a smaller sum
-    breaks the increase where its class begins.  ``antimagic_ok`` is the
-    all-sums-distinct test on its own.
+    With the vertices ordered by (degree, id), a bijective labeling is
+    strongly antimagic iff no u has a later v with an equal sum, or a later v
+    of higher degree with a smaller sum; equivalently, iff sorting the
+    vertices by (degree, sum) gives strictly increasing sums.  One linear
+    pass over that order (``_first_pair``) decides it.  ``antimagic_ok`` is
+    the all-sums-distinct test on its own.
 
     When the strong property fails, ``violation`` is the first pair of a
-    pairwise scan over the vertices ordered by (degree, id): the first u that
-    has a later v with an equal sum, or a later v of higher degree with a
-    smaller sum, paired with the first such v.  A non-bijective labeling gets
+    pairwise scan over the vertices in (degree, id) order: the first u that
+    has such a v, paired with the first such v.  A non-bijective labeling gets
     the "bad-bijection" violation and all flags False.
 
     Raises LabelingError when the labeled edge set differs from the tree's.
@@ -155,16 +155,13 @@ def vertex_sums(tree: Tree | SpiderTree, labeling) -> VertexSumReport:
         classes.setdefault(degrees[v], []).append(v)
     degree_classes = {k: tuple(vs) for k, vs in classes.items()}
 
-    violation = None
-    antimagic_ok = strong_ok = bijection_ok
-    if not bijection_ok:
-        violation = SumViolation("", "", 0, 0, 0, 0, "bad-bijection")
+    if bijection_ok:
+        violation = _first_pair(order, sums, degrees)
+        strong_ok = violation is None
+        antimagic_ok = strong_ok or len(set(sums.values())) == len(sums)
     else:
-        ranked = sorted((degrees[v], sums[v]) for v in order)
-        if any(a[1] >= b[1] for a, b in zip(ranked, ranked[1:])):
-            antimagic_ok = len(set(sums.values())) == len(sums)
-            strong_ok = False
-            violation = _first_pair(order, sums, degrees, degree_order=True)
+        violation = SumViolation("", "", 0, 0, 0, 0, "bad-bijection")
+        antimagic_ok = strong_ok = False
 
     return VertexSumReport(
         sums=sums,
@@ -181,9 +178,15 @@ def first_duplicate(report: VertexSumReport) -> SumViolation | None:
 
     It is ``report.violation`` whenever that is a duplicate-sum pair.
     """
-    order = [v for vs in report.degree_classes.values() for v in vs]
-    degrees = {v: k for k, vs in report.degree_classes.items() for v in vs}
-    return _first_pair(order, report.sums, degrees, degree_order=False)
+    order = [(v, k) for k, vs in report.degree_classes.items() for v in vs]
+    s = [report.sums[v] for v, _ in order]
+    last = {x: i for i, x in enumerate(s)}
+    i = next((i for i, x in enumerate(s) if last[x] > i), None)
+    if i is None:
+        return None
+    j = s.index(s[i], i + 1)
+    (u, du), (v, dv) = order[i], order[j]
+    return SumViolation(u, v, s[i], s[j], du, dv, "duplicate-sum")
 
 
 def verify_bijection(labeling: EdgeLabeling | Mapping) -> bool:

@@ -229,12 +229,12 @@ def test_report_matches_quadratic_reference(case):
     rep = vertex_sums(spider.tree, labels)
     ref = reference_report(spider.tree, labels)
     assert {k: getattr(rep, k) for k in ref} == ref
-    if rep.bijection_ok and not rep.antimagic_ok:
-        dup = first_duplicate(rep)
-        assert dup.reason == "duplicate-sum" and dup.sum_a == dup.sum_b
-        if ref["violation"].reason == "duplicate-sum":
-            assert dup == ref["violation"]
+    if rep.bijection_ok:
+        sums, deg = ref["sums"], spider.tree.degree
         order = [v for vs in ref["degree_classes"].values() for v in vs]
-        firsts = [u for i, u in enumerate(order)
-                  if any(ref["sums"][u] == ref["sums"][v] for v in order[i + 1:])]
-        assert dup.vertex_a == firsts[0]
+        pairs = [(u, v) for i, u in enumerate(order) for v in order[i + 1:] if sums[u] == sums[v]]
+        expected = None
+        if pairs:
+            u, v = pairs[0]
+            expected = SumViolation(u, v, sums[u], sums[v], deg(u), deg(v), "duplicate-sum")
+        assert first_duplicate(rep) == expected
