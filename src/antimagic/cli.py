@@ -118,11 +118,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     except fileio.FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    spider = materialize_tree(canonicalize(spec))
-    m = spider.params.m
+    m = spec.total_edges
     if m > args.max_edges:
         print(f"budget exhausted: instance has {m} edges, over the {args.max_edges}-edge budget")
         return EXIT_BUDGET_EXHAUSTED
+    spider = materialize_tree(canonicalize(spec))
     budget = SearchBudget(max_edges=args.max_edges, node_limit=args.node_limit,
                           time_limit=args.timeout_seconds)
     search = find_strongly_antimagic if args.strong else find_antimagic

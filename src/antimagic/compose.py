@@ -8,7 +8,10 @@ the smallest labels:
 - insert_unit_path: put one new unit path back on a double spider hub.
 
 The instance-level reductions these moves undo (leaf-level deletion, unit
-path removal) live here as well.
+path removal) live here as well, and so do their batched inverses on a
+double spider labeling (extend_leaf_levels, insert_unit_paths): a run of k
+equal moves in one O(m) relabeling, left to the caller to verify.  The
+double spider branches of the public moves are those with k = 1, verified.
 """
 
 from __future__ import annotations
@@ -19,6 +22,11 @@ from .labeling import EdgeLabeling, LabeledTree, labeled_spider, labeled_tree
 from .spiders import (
     HUB_LEFT,
     HUB_RIGHT,
+    KIND_L_EVEN,
+    KIND_L_ODD,
+    KIND_L_UNIT,
+    KIND_R_EVEN,
+    KIND_R_ODD,
     CanonicalDoubleSpider,
     EdgeAddress,
     InvalidSpider,
@@ -51,6 +59,18 @@ class ReductionStep:
             return insert_unit_path(lt, "left")
         raise ValueError(f"unknown reduction kind {self.kind!r}")
 
+    def invert_run(
+        self, c: CanonicalDoubleSpider, labeling: EdgeLabeling, k: int
+    ) -> tuple[CanonicalDoubleSpider, EdgeLabeling]:
+        """Undo k copies of this reduction at once, without verifying."""
+        if self.kind == "delete-leaf-level":
+            return extend_leaf_levels(c, labeling, k)
+        if self.kind == "remove-unit-right":
+            return insert_unit_paths(c, labeling, "right", k)
+        if self.kind == "remove-unit-left":
+            return insert_unit_paths(c, labeling, "left", k)
+        raise ValueError(f"unknown reduction kind {self.kind!r}")
+
 
 DELETE_LEAF_LEVEL = ReductionStep("delete-leaf-level")
 REMOVE_UNIT_RIGHT = ReductionStep("remove-unit-right")
@@ -62,41 +82,132 @@ REMOVE_UNIT_LEFT = ReductionStep("remove-unit-left")
 # ---------------------------------------------------------------------------
 
 
-def delete_leaf_level(c: CanonicalDoubleSpider) -> CanonicalDoubleSpider:
-    """Drop every leaf, shortening each pendant path by one edge."""
-    if min(min(c.left_lengths), min(c.right_lengths)) < 2:
+def delete_leaf_level(c: CanonicalDoubleSpider, levels: int = 1) -> CanonicalDoubleSpider:
+    """Drop the leaves `levels` times, shortening each pendant path by that much."""
+    if min(min(c.left_lengths), min(c.right_lengths)) <= levels:
         raise InvalidSpider("cannot delete the leaf level: a unit path would vanish")
     return oriented(
         c.core_length,
-        (l - 1 for l in c.left_lengths),
-        (l - 1 for l in c.right_lengths),
+        (l - levels for l in c.left_lengths),
+        (l - levels for l in c.right_lengths),
     )
 
 
-def remove_unit_path(c: CanonicalDoubleSpider, side: str) -> CanonicalDoubleSpider:
+def remove_unit_path(c: CanonicalDoubleSpider, side: str, count: int = 1) -> CanonicalDoubleSpider:
     lengths = c.left_lengths if side == "left" else c.right_lengths
-    if 1 not in lengths:
-        raise InvalidSpider(f"no unit path on the {side} side")
-    trimmed = list(lengths)
-    trimmed.remove(1)
+    if lengths[:count].count(1) < count:
+        raise InvalidSpider(f"not enough unit paths on the {side} side")
+    trimmed = lengths[count:]  # ascending, so the unit paths come first
     if side == "left":
         return oriented(c.core_length, trimmed, c.right_lengths)
     return oriented(c.core_length, c.left_lengths, trimmed)
 
 
-def grow_all_paths(c: CanonicalDoubleSpider) -> CanonicalDoubleSpider:
+def grow_all_paths(c: CanonicalDoubleSpider, levels: int = 1) -> CanonicalDoubleSpider:
     """Inverse of delete_leaf_level at the instance level."""
     return oriented(
         c.core_length,
-        (l + 1 for l in c.left_lengths),
-        (l + 1 for l in c.right_lengths),
+        (l + levels for l in c.left_lengths),
+        (l + levels for l in c.right_lengths),
     )
 
 
-def add_unit_path(c: CanonicalDoubleSpider, side: str) -> CanonicalDoubleSpider:
+def add_unit_path(c: CanonicalDoubleSpider, side: str, count: int = 1) -> CanonicalDoubleSpider:
+    units = (1,) * count
     if side == "left":
-        return oriented(c.core_length, c.left_lengths + (1,), c.right_lengths)
-    return oriented(c.core_length, c.left_lengths, c.right_lengths + (1,))
+        return oriented(c.core_length, c.left_lengths + units, c.right_lengths)
+    return oriented(c.core_length, c.left_lengths, c.right_lengths + units)
+
+
+# ---------------------------------------------------------------------------
+# Batched relabeling of a double spider (no verification)
+# ---------------------------------------------------------------------------
+
+
+def _path_edges(lengths: tuple[int, ...], side: str) -> list[list[EdgeAddress]]:
+    """Edge addresses of each pendant path, hub outward, in ascending length order."""
+    counts = dict.fromkeys((KIND_R_ODD, KIND_R_EVEN, KIND_L_ODD, KIND_L_EVEN, KIND_L_UNIT), 0)
+    out = []
+    for l in lengths:
+        if side == "right":
+            kind = KIND_R_ODD if l % 2 else KIND_R_EVEN
+        else:
+            kind = KIND_L_UNIT if l == 1 else KIND_L_ODD if l % 2 else KIND_L_EVEN
+        counts[kind] += 1
+        i = counts[kind]
+        if kind == KIND_L_UNIT:
+            out.append([EdgeAddress.l_unit(i)])
+        elif side == "right":
+            out.append([EdgeAddress(kind, i, j) for j in range(1, l + 1)])
+        else:
+            out.append([EdgeAddress(kind, i, j) for j in range(l, 0, -1)])
+    return out
+
+
+def extend_leaf_levels(
+    c: CanonicalDoubleSpider, labeling: EdgeLabeling, k: int
+) -> tuple[CanonicalDoubleSpider, EdgeLabeling]:
+    """k leaf extensions at once, in O(m + n log n) for n leaves.
+
+    An extension keeps the length order of the paths on each side and the
+    order of the leaf sums (a new leaf's sum is its rank), so every old edge
+    keeps its side, path rank and distance from the hub and gains k*n; the
+    level-q new edge (q = 1 next to the old leaf) on the path whose old
+    pendant label ranks r gets r + n*(k - q).
+    """
+    grown = grow_all_paths(c, k)
+    old = labeling.assignment
+    n = len(c.left_lengths) + len(c.right_lengths)
+    shift = k * n
+    assignment = {EdgeAddress.core(j): old[EdgeAddress.core(j)] + shift
+                  for j in range(1, c.core_length + 1)}
+    tails: list[tuple[int, list[EdgeAddress]]] = []  # (old pendant label, new edges by level)
+    for side, before, after in (("right", c.right_lengths, grown.right_lengths),
+                                ("left", c.left_lengths, grown.left_lengths)):
+        for olds, news in zip(_path_edges(before, side), _path_edges(after, side)):
+            for a, b in zip(olds, news):
+                assignment[b] = old[a] + shift
+            tails.append((old[olds[-1]], news[len(olds):]))
+    tails.sort(key=lambda tail: tail[0])
+    for r, (_, news) in enumerate(tails, start=1):
+        for q, b in enumerate(news, start=1):
+            assignment[b] = r + n * (k - q)
+    return grown, EdgeLabeling(labeling.total_edges + shift, assignment)
+
+
+def insert_unit_paths(
+    c: CanonicalDoubleSpider, labeling: EdgeLabeling, side: str, k: int
+) -> tuple[CanonicalDoubleSpider, EdgeLabeling]:
+    """k unit-path insertions at one hub at once, in O(m).
+
+    Every old label gains k and the q-th new unit gets k - q + 1.  On the
+    right the new units sit after the old ones among the odd paths, so the
+    longer odd paths move k indices up.
+    """
+    old = labeling.assignment
+    if side == "left":
+        t = c.left_lengths.count(1)
+        assignment = {a: lab + k for a, lab in old.items()}
+        new = [EdgeAddress.l_unit(t + q) for q in range(1, k + 1)]
+    else:
+        u = c.right_lengths.count(1)
+        assignment = {}
+        for a, lab in old.items():
+            if a.kind == KIND_R_ODD and a.i > u:
+                a = EdgeAddress.r_odd(a.i + k, a.j)
+            assignment[a] = lab + k
+        new = [EdgeAddress.r_odd(u + q, 1) for q in range(1, k + 1)]
+    for q, a in enumerate(new, start=1):
+        assignment[a] = k - q + 1
+    return add_unit_path(c, side, k), EdgeLabeling(labeling.total_edges + k, assignment)
+
+
+def _verified(grown: tuple[CanonicalDoubleSpider, EdgeLabeling], move: str) -> LabeledTree:
+    c, labeling = grown
+    out = labeled_spider(materialize_tree(c), labeling)
+    if not out.report.strong_ok:
+        raise ConstructionBug(f"{move} broke the strong property")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +234,7 @@ def extend_leaves(lt: LabeledTree) -> LabeledTree:
     if not leaves:
         raise CompositionError("tree has no leaves")
     if lt.spider is not None:
-        return _extend_leaves_spider(lt)
+        return _verified(extend_leaf_levels(lt.spider.instance, lt.labeling, 1), "leaf extension")
 
     n = len(leaves)
     ranked = sorted(leaves, key=lambda v: lt.report.sums[v])
@@ -139,51 +250,6 @@ def extend_leaves(lt: LabeledTree) -> LabeledTree:
         new_edges.append(e)
         labels[e] = rank
     out = labeled_tree(make_tree(new_vertices, new_edges), labels)
-    if not out.report.strong_ok:
-        raise ConstructionBug("leaf extension broke the strong property")
-    return out
-
-
-def _extend_leaves_spider(lt: LabeledTree) -> LabeledTree:
-    spider = lt.spider
-    p = spider.params
-    grown = grow_all_paths(spider.instance)
-    n = len(spider.instance.left_lengths) + len(spider.instance.right_lengths)
-
-    # Every path switches parity class; indices line up because the per-class
-    # orderings are preserved (old units become the shortest even paths).
-    addr_map: dict[EdgeAddress, EdgeAddress] = {}
-    pendants: list[tuple[int, EdgeAddress]] = []  # (old pendant label, new pendant address)
-    old = lt.labeling.assignment
-
-    for j in range(1, p.s + 1):
-        addr_map[EdgeAddress.core(j)] = EdgeAddress.core(j)
-    for i, xi in enumerate(p.x, start=1):
-        for j in range(1, 2 * xi + 2):
-            addr_map[EdgeAddress.r_odd(i, j)] = EdgeAddress.r_even(i, j)
-        pendants.append((old[EdgeAddress.r_odd(i, 2 * xi + 1)], EdgeAddress.r_even(i, 2 * xi + 2)))
-    for i, yi in enumerate(p.y, start=1):
-        for j in range(1, 2 * yi + 1):
-            addr_map[EdgeAddress.r_even(i, j)] = EdgeAddress.r_odd(i, j)
-        pendants.append((old[EdgeAddress.r_even(i, 2 * yi)], EdgeAddress.r_odd(i, 2 * yi + 1)))
-    for i, wi in enumerate(p.w, start=1):
-        for j in range(1, 2 * wi + 2):
-            addr_map[EdgeAddress.l_odd(i, j)] = EdgeAddress.l_even(p.t + i, j + 1)
-        pendants.append((old[EdgeAddress.l_odd(i, 1)], EdgeAddress.l_even(p.t + i, 1)))
-    for i, zi in enumerate(p.z, start=1):
-        for j in range(1, 2 * zi + 1):
-            addr_map[EdgeAddress.l_even(i, j)] = EdgeAddress.l_odd(i, j + 1)
-        pendants.append((old[EdgeAddress.l_even(i, 1)], EdgeAddress.l_odd(i, 1)))
-    for i in range(1, p.t + 1):
-        addr_map[EdgeAddress.l_unit(i)] = EdgeAddress.l_even(i, 2)
-        pendants.append((old[EdgeAddress.l_unit(i)], EdgeAddress.l_even(i, 1)))
-
-    assignment = {addr_map[a]: lab + n for a, lab in old.items()}
-    pendants.sort(key=lambda pair: pair[0])
-    for rank, (_, new_addr) in enumerate(pendants, start=1):
-        assignment[new_addr] = rank
-
-    out = labeled_spider(materialize_tree(grown), EdgeLabeling(p.m + n, assignment))
     if not out.report.strong_ok:
         raise ConstructionBug("leaf extension broke the strong property")
     return out
@@ -250,22 +316,5 @@ def insert_unit_path(lt: LabeledTree, side: str) -> LabeledTree:
         if lt.report.sums[HUB_LEFT] <= lt.report.sums[HUB_RIGHT]:
             raise CompositionError("left insertion needs phi(vl) > phi(vr)")
 
-    enlarged = add_unit_path(lt.spider.instance, side)
-    old = lt.labeling.assignment
-    assignment: dict[EdgeAddress, int] = {}
-    if side == "left":
-        for addr, lab in old.items():
-            assignment[addr] = lab + 1
-        assignment[EdgeAddress.l_unit(p.t + 1)] = 1
-    else:
-        units = sum(1 for xi in p.x if xi == 0)
-        for addr, lab in old.items():
-            if addr.kind == "R/odd" and addr.i > units:
-                addr = EdgeAddress.r_odd(addr.i + 1, addr.j)
-            assignment[addr] = lab + 1
-        assignment[EdgeAddress.r_odd(units + 1, 1)] = 1
-
-    out = labeled_spider(materialize_tree(enlarged), EdgeLabeling(p.m + 1, assignment))
-    if not out.report.strong_ok:
-        raise ConstructionBug("unit-path insertion broke the strong property")
-    return out
+    return _verified(insert_unit_paths(lt.spider.instance, lt.labeling, side, 1),
+                     "unit-path insertion")

@@ -2,11 +2,14 @@
 
 Instances that one of the step labelers covers are labeled directly; the
 rest are reduced (leaf-level deletions, unit-path removals) to a coverable
-residue and the recorded reductions are undone LIFO with the composition
-moves, re-verifying after every move.
+residue and the recorded reductions are undone LIFO as one batched
+relabeling, verified once: the labelers and the replay work on address-keyed
+labelings, and only the final one is materialized and checked.
 """
 
 from __future__ import annotations
+
+from itertools import groupby
 
 from .compose import (
     DELETE_LEAF_LEVEL,
@@ -19,11 +22,11 @@ from .compose import (
 )
 from .labeling import EdgeLabeling, LabeledTree, labeled_spider
 from .labelers import (
+    SPECIAL_INSTANCE_ASSIGNMENT,
     EvenCaseContext,
     StepEvent,
     TypeBCContext,
     even_right_steps,
-    special_instance_labeling,
     is_special_instance,
     is_type_a,
     odd_right_steps,
@@ -34,6 +37,7 @@ from .spiders import (
     CanonicalDoubleSpider,
     CaseTag,
     DoubleSpiderSpec,
+    Parameters,
     canonicalize,
     classify,
     derive_parameters,
@@ -48,22 +52,22 @@ def strongly_antimagic_label(
     """Label the instance; the result always passes the strong verifier.
 
     When trace is a list, step lines for the directly labeled residue and
-    comment lines for every reduction/replay move are appended to it.
+    comment lines for every reduction/replay move are appended to it.  The
+    instance is materialized and verified once, here; a labeling that fails
+    raises ConstructionBug.
     """
     c = canonicalize(spec)
-    lt = _label(c, trace)
+    lt = labeled_spider(materialize_tree(c), _label(c, trace))
     if not lt.report.strong_ok:
         raise ConstructionBug("driver produced a labeling that fails verification")
     return lt
 
 
-def _from_steps(c: CanonicalDoubleSpider, events: list[StepEvent],
-                trace: list[str] | None) -> LabeledTree:
+def _from_steps(p: Parameters, events: list[StepEvent],
+                trace: list[str] | None) -> EdgeLabeling:
     if trace is not None:
         trace.extend(ev.line() for ev in events)
-    p = derive_parameters(c)
-    labeling = EdgeLabeling(p.m, {ev.address: ev.label for ev in events})
-    return labeled_spider(materialize_tree(c), labeling)
+    return EdgeLabeling(p.m, {ev.address: ev.label for ev in events})
 
 
 def _note(trace: list[str] | None, text: str) -> None:
@@ -77,67 +81,61 @@ def _instance_note(c: CanonicalDoubleSpider) -> str:
     return f"core={c.core_length} left={left} right={right}"
 
 
-def _label(c: CanonicalDoubleSpider, trace: list[str] | None) -> LabeledTree:
+def _label(c: CanonicalDoubleSpider, trace: list[str] | None) -> EdgeLabeling:
     p = derive_parameters(c)
     tag = classify(p)
     if tag is CaseTag.UNEQUAL_ODD_RIGHT:
         _note(trace, f"direct odd-right labeling of {_instance_note(c)}")
-        return _from_steps(c, odd_right_steps(p), trace)
+        return _from_steps(p, odd_right_steps(p), trace)
     if tag is CaseTag.UNEQUAL_EVEN_RIGHT:
         _note(trace, f"direct even-right labeling of {_instance_note(c)}")
-        return _from_steps(c, even_right_steps(p, EvenCaseContext.from_parameters(p)), trace)
+        return _from_steps(p, even_right_steps(p, EvenCaseContext.from_parameters(p)), trace)
     if tag is CaseTag.UNEQUAL_ALL_UNIT_RIGHT:
         return _label_all_unit_right(c, trace)
     return _label_equal_degrees(c, high=(tag is CaseTag.EQUAL_DEG_HIGH), trace=trace)
 
 
-def _label_residue(c: CanonicalDoubleSpider, trace: list[str] | None) -> LabeledTree:
+def _label_residue(c: CanonicalDoubleSpider, trace: list[str] | None) -> EdgeLabeling:
+    p = derive_parameters(c)
     if is_special_instance(c):
         _note(trace, f"fixed labeling of the special residue {_instance_note(c)}")
-        lt = special_instance_labeling()
-        if trace is not None:
-            trace.extend(StepEvent(1, addr, label).line()
-                         for addr, label in sorted(lt.labeling.assignment.items(),
-                                                   key=lambda kv: kv[1]))
-        return lt
-    p = derive_parameters(c)
+        events = [StepEvent(1, addr, label) for addr, label in
+                  sorted(SPECIAL_INSTANCE_ASSIGNMENT.items(), key=lambda kv: kv[1])]
+        return _from_steps(p, events, trace)
     if is_type_a(p):
         _note(trace, f"type-(a) labeling of residue {_instance_note(c)}")
-        return _from_steps(c, type_a_steps(p), trace)
+        return _from_steps(p, type_a_steps(p), trace)
     _note(trace, f"type-(b)/(c) labeling of residue {_instance_note(c)}")
-    return _from_steps(c, type_bc_steps(p, TypeBCContext.from_parameters(p)), trace)
+    return _from_steps(p, type_bc_steps(p, TypeBCContext.from_parameters(p)), trace)
 
 
-def _replay(lt: LabeledTree, stack: list[ReductionStep], trace: list[str] | None) -> LabeledTree:
-    for step in reversed(stack):
-        _note(trace, f"replay {step.kind}")
-        lt = step.invert(lt)
-    return lt
+def _replay(c: CanonicalDoubleSpider, labeling: EdgeLabeling, stack: list[ReductionStep],
+            trace: list[str] | None) -> EdgeLabeling:
+    """Undo the stack LIFO, one batched relabeling per run of equal moves."""
+    for step, run in groupby(reversed(stack)):
+        k = len(list(run))
+        for _ in range(k):
+            _note(trace, f"replay {step.kind}")
+        c, labeling = step.invert_run(c, labeling, k)
+    return labeling
 
 
-def _label_all_unit_right(c: CanonicalDoubleSpider, trace: list[str] | None) -> LabeledTree:
-    stack: list[ReductionStep] = []
-    cur = c
-    while len(cur.right_lengths) > 2:
-        cur = remove_unit_path(cur, "right")
-        stack.append(REMOVE_UNIT_RIGHT)
-    # Strip unit paths on the left while the hub keeps degree >= 3 afterwards.
-    while 1 in cur.left_lengths and len(cur.left_lengths) > 2:
-        cur = remove_unit_path(cur, "left")
-        stack.append(REMOVE_UNIT_LEFT)
+def _label_all_unit_right(c: CanonicalDoubleSpider, trace: list[str] | None) -> EdgeLabeling:
+    # Strip the right side down to two unit paths, then unit paths on the left
+    # while the left hub keeps degree >= 3 afterwards.
+    a = len(c.right_lengths) - 2
+    b = min(c.left_lengths.count(1), len(c.left_lengths) - 2)
+    cur = remove_unit_path(remove_unit_path(c, "right", a), "left", b)
+    stack = [REMOVE_UNIT_RIGHT] * a + [REMOVE_UNIT_LEFT] * b
     _note(trace, f"reduced {_instance_note(c)} by {len(stack)} unit removals")
-    lt = _label_residue(cur, trace)
-    return _replay(lt, stack, trace)
+    return _replay(cur, _label_residue(cur, trace), stack, trace)
 
 
 def _label_equal_degrees(c: CanonicalDoubleSpider, high: bool,
-                         trace: list[str] | None) -> LabeledTree:
+                         trace: list[str] | None) -> EdgeLabeling:
     h = min(min(c.left_lengths), min(c.right_lengths))
-    stack: list[ReductionStep] = []
-    cur = c
-    for _ in range(h - 1):
-        cur = delete_leaf_level(cur)
-        stack.append(DELETE_LEAF_LEVEL)
+    stack = [DELETE_LEAF_LEVEL] * (h - 1)
+    cur = delete_leaf_level(c, h - 1)
     if h > 1:
         _note(trace, f"deleted {h - 1} leaf levels from {_instance_note(c)}")
     # The canonical orientation puts a shortest path on the right, so the
@@ -147,7 +145,7 @@ def _label_equal_degrees(c: CanonicalDoubleSpider, high: bool,
         cur = remove_unit_path(cur, "right")
         stack.append(REMOVE_UNIT_RIGHT)
         _note(trace, f"removed one right unit, recursing on {_instance_note(cur)}")
-        lt = _label(cur, trace)
+        labeling = _label(cur, trace)
     else:
-        lt = _label_residue(cur, trace)
-    return _replay(lt, stack, trace)
+        labeling = _label_residue(cur, trace)
+    return _replay(cur, labeling, stack, trace)

@@ -144,6 +144,18 @@ def test_oracle_budget_exhaustion(tmp_path, capsys):
     assert main(["oracle", "--spec", str(big), "--strong"]) == 5
 
 
+def test_oracle_checks_edge_budget_before_materializing(tmp_path, capsys, monkeypatch):
+    def refuse(c):
+        raise AssertionError("materialized an instance over the edge budget")
+
+    monkeypatch.setattr("antimagic.cli.materialize_tree", refuse)
+    huge = tmp_path / "huge.txt"
+    huge.write_text("core = 1000000000\nleft = 1,1\nright = 1,1\n")
+    assert main(["oracle", "--spec", str(huge), "--strong"]) == 5
+    assert capsys.readouterr().out == (
+        "budget exhausted: instance has 1000000004 edges, over the 10-edge budget\n")
+
+
 def test_oracle_node_limit_exhaustion(special_spec, capsys):
     assert main(["oracle", "--spec", str(special_spec), "--strong", "--node-limit", "1"]) == 5
     assert "exhausted" in capsys.readouterr().out

@@ -1,6 +1,7 @@
 """Composition moves: leaf extension, pendant attachment, unit insertion."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from antimagic import (
     CompositionError,
@@ -11,6 +12,7 @@ from antimagic import (
     attach_pendants_to_degree_class,
     canonicalize,
     delete_leaf_level,
+    enumerate_instances,
     extend_leaves,
     insert_unit_path,
     materialize_tree,
@@ -21,7 +23,9 @@ from antimagic.compose import (
     REMOVE_UNIT_LEFT,
     REMOVE_UNIT_RIGHT,
     add_unit_path,
+    extend_leaf_levels,
     grow_all_paths,
+    insert_unit_paths,
     remove_unit_path,
 )
 from antimagic.labeling import labeled_spider, labeled_tree
@@ -224,3 +228,58 @@ def test_reduction_step_invert_runs_verifier():
     lt = strongly_antimagic_label(DoubleSpiderSpec(1, (1, 1, 1), (3, 1)))
     out = REMOVE_UNIT_RIGHT.invert(lt)
     assert out.report.strong_ok and out.total_edges == lt.total_edges + 1
+
+
+# --- batched runs of moves ------------------------------------------------------
+
+SMALL_INSTANCES = list(enumerate_instances(10))
+
+
+@st.composite
+def labeled_run(draw):
+    """A driver-labeled instance with m <= 10 and a run of k equal moves whose
+    preconditions hold at every step."""
+    lt = strongly_antimagic_label(draw(st.sampled_from(SMALL_INSTANCES)))
+    p = lt.spider.params
+    moves = ["extend", "left"] + (["right"] if p.deg_vl > p.deg_vr else [])
+    move = draw(st.sampled_from(moves))
+    # each right insertion raises deg(vr), which must stay <= deg(vl)
+    cap = p.deg_vl - p.deg_vr if move == "right" else 6
+    return lt, move, draw(st.integers(min_value=1, max_value=min(6, cap)))
+
+
+@given(labeled_run())
+@settings(max_examples=150, deadline=None)
+def test_batched_run_equals_sequential_moves(run):
+    lt, move, k = run
+    seq = lt
+    for _ in range(k):
+        seq = extend_leaves(seq) if move == "extend" else insert_unit_path(seq, move)
+    c, labeling = lt.spider.instance, lt.labeling
+    if move == "extend":
+        c, labeling = extend_leaf_levels(c, labeling, k)
+    else:
+        c, labeling = insert_unit_paths(c, labeling, move, k)
+    assert c == seq.spider.instance
+    assert labeling.total_edges == seq.labeling.total_edges
+    assert labeling.assignment == seq.labeling.assignment
+
+
+def test_batched_extension_closed_form():
+    # core 1, paths of 1 on both sides, driver labels; two extensions at once
+    lt = strongly_antimagic_label(DoubleSpiderSpec(1, (1, 1), (1, 1)))
+    old = lt.labeling.assignment
+    c, labeling = extend_leaf_levels(lt.spider.instance, lt.labeling, 2)
+    assert c.left_lengths == (3, 3) and c.right_lengths == (3, 3)
+    new = labeling.assignment
+    assert new[EdgeAddress.core(1)] == old[EdgeAddress.core(1)] + 2 * 4
+    pendants = {EdgeAddress.r_odd(1, 1): (EdgeAddress.r_odd(1, 2), EdgeAddress.r_odd(1, 3)),
+                EdgeAddress.r_odd(2, 1): (EdgeAddress.r_odd(2, 2), EdgeAddress.r_odd(2, 3)),
+                EdgeAddress.l_unit(1): (EdgeAddress.l_odd(1, 2), EdgeAddress.l_odd(1, 1)),
+                EdgeAddress.l_unit(2): (EdgeAddress.l_odd(2, 2), EdgeAddress.l_odd(2, 1))}
+    ranked = sorted(pendants, key=old.__getitem__)
+    for r, a in enumerate(ranked, start=1):
+        level1, level2 = pendants[a]
+        assert new[level1] == r + 4  # r + n * (k - 1)
+        assert new[level2] == r      # r + n * (k - 2)
+    assert sorted(new.values()) == list(range(1, 14))

@@ -1,5 +1,7 @@
 """The end-to-end constructor across all dispatch branches."""
 
+import hashlib
+
 import pytest
 
 from antimagic import (
@@ -10,9 +12,12 @@ from antimagic import (
     classify,
     derive_parameters,
     enumerate_instances,
+    materialize_tree,
     strongly_antimagic_label,
     verify_bijection,
+    vertex_sums,
 )
+from antimagic.fileio import format_labeling
 from antimagic.labelers import SPECIAL_INSTANCE_ASSIGNMENT
 from antimagic.labelers import SPECIAL_INSTANCE
 
@@ -99,3 +104,55 @@ def test_composed_outputs_carry_final_addresses():
     expected |= {EdgeAddress.r_even(i, j) for i in (1, 2, 3) for j in (1, 2)}
     expected |= {EdgeAddress.l_even(i, j) for i in (1, 2, 3) for j in (1, 2)}
     assert set(assignment) == expected
+
+
+@pytest.mark.parametrize("spec, tag", [
+    (DoubleSpiderSpec(1, (2500, 2500), (2500, 2500)), CaseTag.EQUAL_DEG3),
+    (DoubleSpiderSpec(1, (1,) * 4999 + (2, 3), (1,) * 5000), CaseTag.UNEQUAL_ALL_UNIT_RIGHT),
+    (DoubleSpiderSpec(2, (1600, 1700, 1800), (1600, 1600, 1900)), CaseTag.EQUAL_DEG_HIGH),
+])
+def test_reduction_routes_label_large_members(spec, tag):
+    # m ~ 10^4 with 2499, 9996 and 1600 replay moves: the replay must be linear in m
+    assert classify(derive_parameters(canonicalize(spec))) is tag
+    lt = strongly_antimagic_label(spec)
+    assert lt.total_edges == spec.total_edges
+    assert lt.report.strong_ok
+
+
+def count_calls(monkeypatch, original, modules):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(f"antimagic.{module}.{original.__name__}", counting)
+    return calls
+
+
+@pytest.mark.parametrize("spec", [
+    DoubleSpiderSpec(1, (1, 1, 1), (3, 1)),                 # odd-right
+    DoubleSpiderSpec(3, (5, 4, 2, 1, 1), (3, 2)),           # even-right
+    DoubleSpiderSpec(4, (1, 1, 1), (6, 6)),                 # hub-gap
+    DoubleSpiderSpec(2, (4, 2), (2, 2)),                    # equal-deg3 to the special residue
+    DoubleSpiderSpec(2, (3, 1, 1, 1), (1, 1, 1)),           # all-unit-right
+    DoubleSpiderSpec(1, (3, 3, 4, 5), (3, 3, 3, 3)),        # equal-deg-high into all-unit-right
+])
+def test_every_route_materializes_and_verifies_once(spec, monkeypatch):
+    built = count_calls(monkeypatch, materialize_tree, ("driver", "compose", "labelers"))
+    checked = count_calls(monkeypatch, vertex_sums, ("labeling",))
+    lt = strongly_antimagic_label(spec)
+    assert lt.report.strong_ok
+    assert len(built) == 1 and len(checked) == 1
+
+
+def test_labelings_and_traces_are_pinned():
+    # one digest over the --out and --trace text of every instance with m <= 12
+    digest = hashlib.sha256()
+    for c in enumerate_instances(12):
+        trace = []
+        lt = strongly_antimagic_label(c, trace=trace)
+        digest.update(format_labeling(lt.labeling).encode())
+        digest.update(("\n".join(trace) + "\n").encode())
+    assert digest.hexdigest() == "27c5c73b5171626070cda8a6bf4a3da7fe52af7995705eed23f16bc1d4f43fa9"
