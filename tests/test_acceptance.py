@@ -110,14 +110,15 @@ def test_criterion_4_full_sweep():
 def test_criterion_5_oracle_concordance():
     start = time.perf_counter()
     count = 0
-    for c in enumerate_instances(9):
+    for c in enumerate_instances(12):
         spider = materialize_tree(c)
-        res = find_strongly_antimagic(spider.tree, SearchBudget(max_edges=9))
+        res = find_strongly_antimagic(spider.tree, SearchBudget(max_edges=12))
         assert res.found, c
         assert vertex_sums(spider.tree, res.labels).strong_ok
         lt = strongly_antimagic_label(c)
         assert lt.report.strong_ok
         count += 1
+    assert count == 843
     k2 = find_strongly_antimagic(path_tree(2))
     assert k2.proven_absent
     elapsed = time.perf_counter() - start

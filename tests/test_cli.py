@@ -161,6 +161,13 @@ def test_oracle_node_limit_exhaustion(special_spec, capsys):
     assert "exhausted" in capsys.readouterr().out
 
 
+def test_oracle_zero_timeout_exhausts(tmp_path, capsys):
+    spec = tmp_path / "inst.txt"
+    spec.write_text("core = 2\nleft = 1,4\nright = 1,2\n")
+    assert main(["oracle", "--spec", str(spec), "--strong", "--timeout-seconds", "0"]) == 5
+    assert "budget exhausted" in capsys.readouterr().out
+
+
 def test_sweep_with_oracle_cross_check(capsys):
     assert main(["sweep", "--max-edges", "6", "--oracle-max", "6"]) == 0
     assert "failures = 0" in capsys.readouterr().out
