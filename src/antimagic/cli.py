@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import fileio
 from .driver import strongly_antimagic_label
-from .labeling import EdgeLabeling, first_duplicate, verify_strongly_antimagic
+from .labeling import EdgeLabeling, first_duplicate, vertex_sums
 from .oracle import SearchBudget, find_antimagic, find_strongly_antimagic
 from .spiders import canonicalize, materialize_tree
 from .sweep import format_report, run_sweep
@@ -76,7 +76,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except fileio.FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    report = verify_strongly_antimagic(spider, labeling)
+    report = vertex_sums(spider, labeling)
     if not report.bijection_ok:
         print("fail: labels are not a bijection onto 1..m")
         return EXIT_PROPERTY_FAIL

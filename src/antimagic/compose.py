@@ -31,7 +31,6 @@ from .spiders import (
     EdgeAddress,
     InvalidSpider,
     materialize_tree,
-    oriented,
 )
 from .trees import edge_key, make_tree
 
@@ -49,15 +48,6 @@ class ReductionStep:
     """One recorded reduction; replaying the stack LIFO undoes the whole chain."""
 
     kind: str  # "delete-leaf-level" | "remove-unit-right" | "remove-unit-left"
-
-    def invert(self, lt: LabeledTree) -> LabeledTree:
-        if self.kind == "delete-leaf-level":
-            return extend_leaves(lt)
-        if self.kind == "remove-unit-right":
-            return insert_unit_path(lt, "right")
-        if self.kind == "remove-unit-left":
-            return insert_unit_path(lt, "left")
-        raise ValueError(f"unknown reduction kind {self.kind!r}")
 
     def invert_run(
         self, c: CanonicalDoubleSpider, labeling: EdgeLabeling, k: int
@@ -86,7 +76,7 @@ def delete_leaf_level(c: CanonicalDoubleSpider, levels: int = 1) -> CanonicalDou
     """Drop the leaves `levels` times, shortening each pendant path by that much."""
     if min(min(c.left_lengths), min(c.right_lengths)) <= levels:
         raise InvalidSpider("cannot delete the leaf level: a unit path would vanish")
-    return oriented(
+    return CanonicalDoubleSpider(
         c.core_length,
         (l - levels for l in c.left_lengths),
         (l - levels for l in c.right_lengths),
@@ -94,18 +84,20 @@ def delete_leaf_level(c: CanonicalDoubleSpider, levels: int = 1) -> CanonicalDou
 
 
 def remove_unit_path(c: CanonicalDoubleSpider, side: str, count: int = 1) -> CanonicalDoubleSpider:
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
     lengths = c.left_lengths if side == "left" else c.right_lengths
     if lengths[:count].count(1) < count:
         raise InvalidSpider(f"not enough unit paths on the {side} side")
     trimmed = lengths[count:]  # ascending, so the unit paths come first
     if side == "left":
-        return oriented(c.core_length, trimmed, c.right_lengths)
-    return oriented(c.core_length, c.left_lengths, trimmed)
+        return CanonicalDoubleSpider(c.core_length, trimmed, c.right_lengths)
+    return CanonicalDoubleSpider(c.core_length, c.left_lengths, trimmed)
 
 
 def grow_all_paths(c: CanonicalDoubleSpider, levels: int = 1) -> CanonicalDoubleSpider:
     """Inverse of delete_leaf_level at the instance level."""
-    return oriented(
+    return CanonicalDoubleSpider(
         c.core_length,
         (l + levels for l in c.left_lengths),
         (l + levels for l in c.right_lengths),
@@ -115,8 +107,8 @@ def grow_all_paths(c: CanonicalDoubleSpider, levels: int = 1) -> CanonicalDouble
 def add_unit_path(c: CanonicalDoubleSpider, side: str, count: int = 1) -> CanonicalDoubleSpider:
     units = (1,) * count
     if side == "left":
-        return oriented(c.core_length, c.left_lengths + units, c.right_lengths)
-    return oriented(c.core_length, c.left_lengths, c.right_lengths + units)
+        return CanonicalDoubleSpider(c.core_length, c.left_lengths + units, c.right_lengths)
+    return CanonicalDoubleSpider(c.core_length, c.left_lengths, c.right_lengths + units)
 
 
 # ---------------------------------------------------------------------------

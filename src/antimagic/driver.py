@@ -1,10 +1,11 @@
 """Top-level constructor: a strongly antimagic labeling for any double spider.
 
-Instances that one of the step labelers covers are labeled directly; the
-rest are reduced (leaf-level deletions, unit-path removals) to a coverable
-residue and the recorded reductions are undone LIFO as one batched
-relabeling, verified once: the labelers and the replay work on address-keyed
-labelings, and only the final one is materialized and checked.
+One path from instance to verified labeling: materialize the instance, label
+it, verify once.  Instances that one of the step labelers covers are labeled
+directly; the rest are reduced (leaf-level deletions, unit-path removals) to
+a coverable residue and the recorded reductions are undone LIFO as one
+batched relabeling.  The labelers and the replay work on address-keyed
+labelings; only the final one meets the tree, in the one verification.
 """
 
 from __future__ import annotations
@@ -22,12 +23,12 @@ from .compose import (
 )
 from .labeling import EdgeLabeling, LabeledTree, labeled_spider
 from .labelers import (
+    SPECIAL_INSTANCE,
     SPECIAL_INSTANCE_ASSIGNMENT,
     EvenCaseContext,
     StepEvent,
     TypeBCContext,
     even_right_steps,
-    is_special_instance,
     is_type_a,
     odd_right_steps,
     type_a_steps,
@@ -53,13 +54,16 @@ def strongly_antimagic_label(
 
     When trace is a list, step lines for the directly labeled residue and
     comment lines for every reduction/replay move are appended to it.  The
-    instance is materialized and verified once, here; a labeling that fails
-    raises ConstructionBug.
+    instance is materialized once, first, and its parameters are passed down;
+    the labeling is verified once, here.  A labeling that fails raises
+    ConstructionBug naming the first violation.
     """
     c = canonicalize(spec)
-    lt = labeled_spider(materialize_tree(c), _label(c, trace))
+    spider = materialize_tree(c)
+    lt = labeled_spider(spider, _label(c, spider.params, trace))
     if not lt.report.strong_ok:
-        raise ConstructionBug("driver produced a labeling that fails verification")
+        raise ConstructionBug("driver produced a labeling that fails verification: "
+                              + lt.report.violation.describe())
     return lt
 
 
@@ -81,8 +85,7 @@ def _instance_note(c: CanonicalDoubleSpider) -> str:
     return f"core={c.core_length} left={left} right={right}"
 
 
-def _label(c: CanonicalDoubleSpider, trace: list[str] | None) -> EdgeLabeling:
-    p = derive_parameters(c)
+def _label(c: CanonicalDoubleSpider, p: Parameters, trace: list[str] | None) -> EdgeLabeling:
     tag = classify(p)
     if tag is CaseTag.UNEQUAL_ODD_RIGHT:
         _note(trace, f"direct odd-right labeling of {_instance_note(c)}")
@@ -97,7 +100,7 @@ def _label(c: CanonicalDoubleSpider, trace: list[str] | None) -> EdgeLabeling:
 
 def _label_residue(c: CanonicalDoubleSpider, trace: list[str] | None) -> EdgeLabeling:
     p = derive_parameters(c)
-    if is_special_instance(c):
+    if c == SPECIAL_INSTANCE:
         _note(trace, f"fixed labeling of the special residue {_instance_note(c)}")
         events = [StepEvent(1, addr, label) for addr, label in
                   sorted(SPECIAL_INSTANCE_ASSIGNMENT.items(), key=lambda kv: kv[1])]
@@ -145,7 +148,7 @@ def _label_equal_degrees(c: CanonicalDoubleSpider, high: bool,
         cur = remove_unit_path(cur, "right")
         stack.append(REMOVE_UNIT_RIGHT)
         _note(trace, f"removed one right unit, recursing on {_instance_note(cur)}")
-        labeling = _label(cur, trace)
+        labeling = _label(cur, derive_parameters(cur), trace)
     else:
         labeling = _label_residue(cur, trace)
     return _replay(cur, labeling, stack, trace)

@@ -2,7 +2,9 @@
 
 Each labeler walks a fixed sequence of steps, assigning 1..m to edge
 addresses; steps whose index ranges are empty are skipped.  The step events
-are kept so callers can audit exactly which step placed which label.
+are kept so callers can audit exactly which step placed which label.  Each
+labeler has one entry point, its ``*_steps`` function; the driver turns the
+events into a labeling and verifies it.
 """
 
 from __future__ import annotations
@@ -47,13 +49,6 @@ def _evens(lo: int, hi: int) -> range:
     return range(start, hi + 1, 2)
 
 
-def _as_labeling(p: Parameters, events: list[StepEvent]) -> EdgeLabeling:
-    assignment = {ev.address: ev.label for ev in events}
-    if len(assignment) != len(events) or sorted(ev.label for ev in events) != list(range(1, p.m + 1)):
-        raise AssertionError("labeler did not produce a bijection onto 1..m")
-    return EdgeLabeling(total_edges=p.m, assignment=assignment)
-
-
 # ---------------------------------------------------------------------------
 # Type (a): both hubs of degree 3, four unit paths around the core
 # ---------------------------------------------------------------------------
@@ -95,10 +90,6 @@ def type_a_steps(p: Parameters) -> list[StepEvent]:
         for j in _odds(1, s):
             ev.append(StepEvent(4, EdgeAddress.core(j), half + 4 + (j + 1) // 2))
     return ev
-
-
-def label_type_a(p: Parameters) -> EdgeLabeling:
-    return _as_labeling(p, type_a_steps(p))
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +234,6 @@ def type_bc_steps(p: Parameters, ctx: TypeBCContext) -> list[StepEvent]:
     return ev
 
 
-def label_type_bc(p: Parameters, ctx: TypeBCContext | None = None) -> EdgeLabeling:
-    if ctx is None:
-        ctx = TypeBCContext.from_parameters(p)
-    return _as_labeling(p, type_bc_steps(p, ctx))
-
-
 # ---------------------------------------------------------------------------
 # The fixed special instance (core 2, left {3,1}, right {1,1})
 # ---------------------------------------------------------------------------
@@ -366,10 +351,6 @@ def odd_right_steps(p: Parameters) -> list[StepEvent]:
         ev.append(StepEvent(12, EdgeAddress.core(1), p.m - 1))
         ev.append(StepEvent(12, EdgeAddress.core(s), p.m))
     return ev
-
-
-def label_odd_right(p: Parameters) -> EdgeLabeling:
-    return _as_labeling(p, odd_right_steps(p))
 
 
 # ---------------------------------------------------------------------------
@@ -583,18 +564,3 @@ def _hub_gap_repair_events(p: Parameters, ctx: EvenCaseContext) -> list[StepEven
     return [StepEvent(ev.step, EdgeAddress.r_even(1, n - ev.address.j), ev.label)
             if ev.address == EdgeAddress.r_even(1, ev.address.j) else ev
             for ev in _even_right_printed(p, ctx)]
-
-
-def label_even_right(p: Parameters, ctx: EvenCaseContext | None = None) -> EdgeLabeling:
-    if ctx is None:
-        ctx = EvenCaseContext.from_parameters(p)
-    return _as_labeling(p, even_right_steps(p, ctx))
-
-
-# ---------------------------------------------------------------------------
-# Residue dispatch used by the reduction driver
-# ---------------------------------------------------------------------------
-
-
-def is_special_instance(c: CanonicalDoubleSpider) -> bool:
-    return c == SPECIAL_INSTANCE

@@ -210,11 +210,6 @@ def verify_antimagic(tree: Tree | SpiderTree, labeling) -> bool:
     return report.antimagic_ok
 
 
-def verify_strongly_antimagic(tree: Tree | SpiderTree, labeling) -> VertexSumReport:
-    """Full report; strong_ok is the strongly antimagic verdict."""
-    return vertex_sums(tree, labeling)
-
-
 # ---------------------------------------------------------------------------
 # Labeled trees (construction and composition results)
 # ---------------------------------------------------------------------------

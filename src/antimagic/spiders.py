@@ -110,16 +110,6 @@ def canonicalize(spec: DoubleSpiderSpec | CanonicalDoubleSpider) -> CanonicalDou
     return CanonicalDoubleSpider(spec.core_length, right, left, swapped=True)
 
 
-def oriented(core_length: int, left: Iterable[int], right: Iterable[int]) -> CanonicalDoubleSpider:
-    """Build an instance whose sides are known to already be oriented correctly.
-
-    Used by the reduction machinery, where every intermediate instance keeps
-    the canonical orientation; a flip here would be a bug, not an input error.
-    """
-    c = CanonicalDoubleSpider(core_length, tuple(left), tuple(right))
-    return c
-
-
 # ---------------------------------------------------------------------------
 # Derived parameters
 # ---------------------------------------------------------------------------

@@ -15,21 +15,15 @@ from antimagic import (
     EdgeAddress,
     SearchBudget,
     attach_pendants_to_degree_class,
-    canonicalize,
     classify,
     derive_parameters,
     enumerate_instances,
     extend_leaves,
     find_strongly_antimagic,
     insert_unit_path,
-    label_even_right,
-    label_odd_right,
-    label_type_a,
-    label_type_bc,
     materialize_tree,
     strongly_antimagic_label,
     verify_bijection,
-    verify_strongly_antimagic,
     vertex_sums,
 )
 from antimagic.cli import main
@@ -61,10 +55,7 @@ def test_criterion_1_special_instance_exactness():
 def test_criterion_2_type_a_odd_cores():
     start = time.perf_counter()
     for s in range(1, 20, 2):
-        p = derive_parameters(canonicalize(DoubleSpiderSpec(s, (1, 1), (1, 1))))
-        rep = verify_strongly_antimagic(
-            materialize_tree(canonicalize(DoubleSpiderSpec(s, (1, 1), (1, 1)))),
-            label_type_a(p))
+        rep = strongly_antimagic_label(DoubleSpiderSpec(s, (1, 1), (1, 1))).report
         assert rep.strong_ok
         assert rep.sums["vl"] == 2 * s + 10
         assert rep.sums["vr"] == (3 * s + 13) // 2
@@ -81,9 +72,7 @@ def test_criterion_2_type_a_odd_cores():
 def test_criterion_3_type_a_even_cores():
     start = time.perf_counter()
     for s in range(2, 21, 2):
-        inst = canonicalize(DoubleSpiderSpec(s, (1, 1), (1, 1)))
-        rep = verify_strongly_antimagic(materialize_tree(inst),
-                                        label_type_a(derive_parameters(inst)))
+        rep = strongly_antimagic_label(DoubleSpiderSpec(s, (1, 1), (1, 1))).report
         assert rep.strong_ok
         assert rep.sums["vl"] == (3 * s + 16) // 2
         assert rep.sums["vr"] == (3 * s + 14) // 2
@@ -203,13 +192,13 @@ def test_criterion_7_internal_anchors():
         p = derive_parameters(c)
         tag = classify(p)
         if tag is CaseTag.UNEQUAL_ODD_RIGHT:
-            lab = label_odd_right(p).assignment
+            lab = strongly_antimagic_label(c).labeling.assignment
             got = lab[EdgeAddress.r_odd(p.a, 1)]
             assert got == p.m - p.c - p.s2
             expected = p.m - p.c - (1 if (p.s == 1 or p.s % 2 == 0) else 2)
             assert got == expected
         elif tag is CaseTag.UNEQUAL_EVEN_RIGHT:
-            lab = label_even_right(p).assignment
+            lab = strongly_antimagic_label(c).labeling.assignment
         else:
             continue
         assert lab[EdgeAddress.core(p.s)] == p.m

@@ -46,7 +46,10 @@ def test_label_unverified_construction_is_internal_bug(tmp_path, monkeypatch, ca
     out = tmp_path / "tied.lab"
     assert main(["label", "--spec", str(spec), "--out", str(out)]) == 3
     assert not out.exists()
-    assert "internal error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "internal error" in err
+    # the message names the first violating pair of the tied labeling
+    assert err.rstrip().endswith("duplicate-sum: phi(vr)=41 (deg 3) vs phi(vl)=41 (deg 4)")
 
 
 def test_verify_round_trip(tmp_path, special_spec):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from antimagic import (
+    CanonicalDoubleSpider,
     CompositionError,
     DoubleSpiderSpec,
     EdgeAddress,
@@ -204,6 +205,12 @@ def test_delete_leaf_level_rejects_unit_paths():
         delete_leaf_level(canonicalize(DoubleSpiderSpec(1, (2, 1), (1, 1))))
 
 
+def test_remove_unit_path_rejects_unknown_side():
+    c = CanonicalDoubleSpider(1, (1, 1, 2), (1, 1, 3))
+    with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+        remove_unit_path(c, "Left")
+
+
 def test_reduction_stack_replays_to_original():
     c = canonicalize(DoubleSpiderSpec(2, (3, 3, 3), (3, 3, 3)))
     stack = []
@@ -226,7 +233,7 @@ def test_reduction_stack_replays_to_original():
 
 def test_reduction_step_invert_runs_verifier():
     lt = strongly_antimagic_label(DoubleSpiderSpec(1, (1, 1, 1), (3, 1)))
-    out = REMOVE_UNIT_RIGHT.invert(lt)
+    out = insert_unit_path(lt, "right")
     assert out.report.strong_ok and out.total_edges == lt.total_edges + 1
 
 

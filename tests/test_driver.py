@@ -18,6 +18,7 @@ from antimagic import (
     vertex_sums,
 )
 from antimagic.fileio import format_labeling
+from antimagic.sweep import check_instance
 from antimagic.labelers import SPECIAL_INSTANCE_ASSIGNMENT
 from antimagic.labelers import SPECIAL_INSTANCE
 
@@ -131,20 +132,37 @@ def count_calls(monkeypatch, original, modules):
     return calls
 
 
-@pytest.mark.parametrize("spec", [
+ROUTE_SPECS = [
     DoubleSpiderSpec(1, (1, 1, 1), (3, 1)),                 # odd-right
     DoubleSpiderSpec(3, (5, 4, 2, 1, 1), (3, 2)),           # even-right
     DoubleSpiderSpec(4, (1, 1, 1), (6, 6)),                 # hub-gap
     DoubleSpiderSpec(2, (4, 2), (2, 2)),                    # equal-deg3 to the special residue
     DoubleSpiderSpec(2, (3, 1, 1, 1), (1, 1, 1)),           # all-unit-right
     DoubleSpiderSpec(1, (3, 3, 4, 5), (3, 3, 3, 3)),        # equal-deg-high into all-unit-right
-])
+]
+
+
+@pytest.mark.parametrize("spec", ROUTE_SPECS)
 def test_every_route_materializes_and_verifies_once(spec, monkeypatch):
     built = count_calls(monkeypatch, materialize_tree, ("driver", "compose", "labelers"))
     checked = count_calls(monkeypatch, vertex_sums, ("labeling",))
     lt = strongly_antimagic_label(spec)
     assert lt.report.strong_ok
     assert len(built) == 1 and len(checked) == 1
+
+
+@pytest.mark.parametrize("spec", ROUTE_SPECS)
+def test_sweep_materializes_and_verifies_once(spec, monkeypatch):
+    # the sweep trusts the driver's one verification; the oracle is its own check
+    built = count_calls(monkeypatch, materialize_tree, ("driver", "compose", "labelers"))
+    checked = count_calls(monkeypatch, vertex_sums, ("labeling",))
+    derived = count_calls(monkeypatch, derive_parameters, ("spiders", "driver", "sweep"))
+    rec = check_instance(canonicalize(spec))
+    assert rec.ok and rec.detail == ""
+    assert len(built) == 1 and len(checked) == 1
+    if rec.tag is CaseTag.UNEQUAL_ODD_RIGHT:
+        # once for the sweep's record, once inside the one materialization
+        assert len(derived) == 2
 
 
 def test_labelings_and_traces_are_pinned():

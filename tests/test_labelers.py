@@ -15,12 +15,7 @@ from antimagic import (
     derive_parameters,
     enumerate_instances,
     special_instance_labeling,
-    label_even_right,
-    label_odd_right,
-    label_type_a,
-    label_type_bc,
-    materialize_tree,
-    verify_strongly_antimagic,
+    strongly_antimagic_label,
 )
 from antimagic.labelers import (
     even_right_steps,
@@ -37,37 +32,41 @@ def params(core, left, right):
     return derive_parameters(canonicalize(DoubleSpiderSpec(core, tuple(left), tuple(right))))
 
 
-def check_strong(core, left, right, labeling):
-    spider = materialize_tree(canonicalize(DoubleSpiderSpec(core, tuple(left), tuple(right))))
-    rep = verify_strongly_antimagic(spider, labeling)
-    assert rep.strong_ok, rep.violation
+def label(core, left, right):
+    # every instance below goes straight to one labeler with its default context
+    return strongly_antimagic_label(DoubleSpiderSpec(core, tuple(left), tuple(right)))
+
+
+def check_strong(core, left, right):
+    rep = label(core, left, right).report
+    assert rep.bijection_ok and rep.strong_ok, rep.violation
     return rep
 
 
 # --- type (a) ---------------------------------------------------------------
 
 def test_type_a_s3_exact():
-    lab = label_type_a(params(3, [1, 1], [1, 1])).assignment
+    lab = label(3, [1, 1], [1, 1]).labeling.assignment
     assert [lab[EdgeAddress.core(j)] for j in (1, 2, 3)] == [7, 1, 6]
     assert [lab[EdgeAddress.r_odd(i, 1)] for i in (1, 2)] == [2, 3]
     assert [lab[EdgeAddress.l_unit(i)] for i in (1, 2)] == [4, 5]
-    rep = check_strong(3, [1, 1], [1, 1], label_type_a(params(3, [1, 1], [1, 1])))
+    rep = check_strong(3, [1, 1], [1, 1])
     assert rep.sums["vl"] == 16 and rep.sums["vr"] == 11
 
 
 def test_type_a_s1_exact():
-    lab = label_type_a(params(1, [1, 1], [1, 1])).assignment
+    lab = label(1, [1, 1], [1, 1]).labeling.assignment
     assert lab[EdgeAddress.core(1)] == 5
-    rep = check_strong(1, [1, 1], [1, 1], label_type_a(params(1, [1, 1], [1, 1])))
+    rep = check_strong(1, [1, 1], [1, 1])
     assert rep.sums["vl"] == 12 and rep.sums["vr"] == 8
 
 
 def test_type_a_s2_exact():
-    lab = label_type_a(params(2, [1, 1], [1, 1])).assignment
+    lab = label(2, [1, 1], [1, 1]).labeling.assignment
     assert [lab[EdgeAddress.core(j)] for j in (1, 2)] == [6, 1]
     assert [lab[EdgeAddress.l_unit(i)] for i in (1, 2)] == [2, 3]
     assert [lab[EdgeAddress.r_odd(i, 1)] for i in (1, 2)] == [4, 5]
-    rep = check_strong(2, [1, 1], [1, 1], label_type_a(params(2, [1, 1], [1, 1])))
+    rep = check_strong(2, [1, 1], [1, 1])
     assert rep.sums["vl"] == 11 and rep.sums["vr"] == 10
     leaves = sorted(rep.sums[v] for v in rep.degree_classes[1])
     assert leaves == [2, 3, 4, 5]
@@ -75,8 +74,7 @@ def test_type_a_s2_exact():
 
 @pytest.mark.parametrize("s", range(1, 21, 2))
 def test_type_a_odd_sums(s):
-    p = params(s, [1, 1], [1, 1])
-    rep = check_strong(s, [1, 1], [1, 1], label_type_a(p))
+    rep = check_strong(s, [1, 1], [1, 1])
     assert rep.sums["vl"] == 2 * s + 10
     assert rep.sums["vr"] == (3 * s + 13) // 2
     leaves = sorted(rep.sums[v] for v in rep.degree_classes[1])
@@ -88,27 +86,25 @@ def test_type_a_odd_sums(s):
 
 @pytest.mark.parametrize("s", range(2, 21, 2))
 def test_type_a_even_sums(s):
-    p = params(s, [1, 1], [1, 1])
-    rep = check_strong(s, [1, 1], [1, 1], label_type_a(p))
+    rep = check_strong(s, [1, 1], [1, 1])
     assert rep.sums["vl"] == (3 * s + 16) // 2
     assert rep.sums["vr"] == (3 * s + 14) // 2
 
 
 def test_type_a_rejects_other_shapes():
     with pytest.raises(UnsupportedCase):
-        label_type_a(params(1, [2, 1], [1, 1]))
+        type_a_steps(params(1, [2, 1], [1, 1]))
 
 
 # --- types (b)/(c) ----------------------------------------------------------
 
 def test_type_c_exact():
-    p = params(1, [3, 3], [1, 1])
-    lab = label_type_bc(p).assignment
+    lab = label(1, [3, 3], [1, 1]).labeling.assignment
     assert [lab[EdgeAddress.l_odd(1, j)] for j in (3, 2, 1)] == [8, 6, 1]
     assert [lab[EdgeAddress.l_odd(2, j)] for j in (3, 2, 1)] == [3, 7, 2]
     assert [lab[EdgeAddress.r_odd(i, 1)] for i in (1, 2)] == [4, 5]
     assert lab[EdgeAddress.core(1)] == 9
-    rep = check_strong(1, [3, 3], [1, 1], label_type_bc(p))
+    rep = check_strong(1, [3, 3], [1, 1])
     assert rep.sums["vl"] == 20 and rep.sums["vr"] == 18
 
 
@@ -117,22 +113,22 @@ def test_type_b_t_prime_consecutive():
     p = params(2, [2, 1], [1, 1])
     ctx = TypeBCContext.from_parameters(p)
     assert ctx.t_prime == 1
-    lab = label_type_bc(p, ctx).assignment
+    lab = label(2, [2, 1], [1, 1]).labeling.assignment
     assert lab[EdgeAddress.l_unit(1)] == lab[EdgeAddress.r_odd(1, 1)] + 1
-    check_strong(2, [2, 1], [1, 1], label_type_bc(p, ctx))
+    check_strong(2, [2, 1], [1, 1])
 
 
 def test_type_bc_rejects_special_instance():
     p = derive_parameters(SPECIAL_INSTANCE)
     with pytest.raises(UnsupportedCase):
-        label_type_bc(p)
+        type_bc_steps(p, TypeBCContext.from_parameters(p))
 
 
 def test_type_bc_even_k():
     p = params(1, [2, 1], [2, 1])
     ctx = TypeBCContext.from_parameters(p)
     assert ctx.k == 2
-    check_strong(1, [2, 1], [2, 1], label_type_bc(p, ctx))
+    check_strong(1, [2, 1], [2, 1])
 
 
 # --- the fixed special instance ---------------------------------------------
@@ -154,13 +150,12 @@ def test_special_instance_labeling_exact():
 # --- odd-right ---------------------------------------------------------------
 
 def test_odd_right_exact():
-    p = params(1, [1, 1, 1], [3, 1])
-    lab = label_odd_right(p).assignment
+    lab = label(1, [1, 1, 1], [3, 1]).labeling.assignment
     assert lab[EdgeAddress.r_odd(1, 1)] == 1
     assert [lab[EdgeAddress.r_odd(2, j)] for j in (1, 2, 3)] == [7, 6, 2]
     assert [lab[EdgeAddress.l_unit(i)] for i in (1, 2, 3)] == [3, 4, 5]
     assert lab[EdgeAddress.core(1)] == 8
-    rep = check_strong(1, [1, 1, 1], [3, 1], label_odd_right(p))
+    rep = check_strong(1, [1, 1, 1], [3, 1])
     assert rep.sums["vr"] == 16 and rep.sums["vl"] == 20
     assert sorted(rep.sums[v] for v in rep.degree_classes[1]) == [1, 2, 3, 4, 5]
     assert sorted(rep.sums[v] for v in rep.degree_classes[2]) == [8, 13]
@@ -186,7 +181,7 @@ def test_odd_right_pendant_prefix_claim():
 
 def test_odd_right_hub_anchor():
     for c, p in _direct_cases(13, CaseTag.UNEQUAL_ODD_RIGHT):
-        lab = label_odd_right(p).assignment
+        lab = strongly_antimagic_label(c).labeling.assignment
         assert lab[EdgeAddress.core(p.s)] == p.m
         got = lab[EdgeAddress.r_odd(p.a, 1)]
         assert got == p.m - p.c - p.s2
@@ -202,12 +197,12 @@ def test_even_right_exact():
     p = params(1, [1, 1, 1], [2, 1])
     ctx = EvenCaseContext.from_parameters(p)
     assert (ctx.alpha, ctx.beta) == (0, 0)
-    lab = label_even_right(p, ctx).assignment
+    lab = label(1, [1, 1, 1], [2, 1]).labeling.assignment
     assert lab[EdgeAddress.r_odd(1, 1)] == 1
     assert [lab[EdgeAddress.r_even(1, j)] for j in (1, 2)] == [6, 2]
     assert [lab[EdgeAddress.l_unit(i)] for i in (1, 2, 3)] == [3, 4, 5]
     assert lab[EdgeAddress.core(1)] == 7
-    rep = check_strong(1, [1, 1, 1], [2, 1], label_even_right(p, ctx))
+    rep = check_strong(1, [1, 1, 1], [2, 1])
     assert rep.sums["vr"] == 14 and rep.sums["vl"] == 19
 
 
@@ -216,18 +211,18 @@ def test_even_right_interleave_when_beta_positive():
     p = params(1, [1, 1, 1], [2, 4])
     ctx = EvenCaseContext.from_parameters(p)
     assert ctx.beta == 1
-    lab = label_even_right(p, ctx).assignment
+    lab = label(1, [1, 1, 1], [2, 4]).labeling.assignment
     assert lab[EdgeAddress.r_even(1, 1)] == 1
-    check_strong(1, [1, 1, 1], [2, 4], label_even_right(p, ctx))
+    check_strong(1, [1, 1, 1], [2, 4])
 
     # three switched length-2 paths interleaved with two units
     p = params(1, [1, 1, 1, 1, 1], [2, 2, 2, 4])
     ctx = EvenCaseContext.from_parameters(p)
     assert ctx.beta == 3
-    lab = label_even_right(p, ctx).assignment
+    lab = label(1, [1, 1, 1, 1, 1], [2, 2, 2, 4]).labeling.assignment
     assert [lab[EdgeAddress.r_even(i, 1)] for i in (1, 2, 3)] == [1, 3, 5]
     assert [lab[EdgeAddress.l_unit(i)] for i in (1, 2)] == [2, 4]
-    check_strong(1, [1, 1, 1, 1, 1], [2, 2, 2, 4], label_even_right(p, ctx))
+    check_strong(1, [1, 1, 1, 1, 1], [2, 2, 2, 4])
 
 
 def test_even_right_switched_longer_paths():
@@ -242,9 +237,9 @@ def test_even_right_switched_longer_paths():
     p = params(1, [1, 1, 1, 1], [4, 4, 4])
     ctx = EvenCaseContext.from_parameters(p)
     assert (ctx.alpha, ctx.beta) == (2, 0)
-    lab = label_even_right(p, ctx).assignment
+    lab = label(1, [1, 1, 1, 1], [4, 4, 4]).labeling.assignment
     assert {a.text: v for a, v in lab.items()} == frozen
-    check_strong(1, [1, 1, 1, 1], [4, 4, 4], label_even_right(p, ctx))
+    check_strong(1, [1, 1, 1, 1], [4, 4, 4])
 
 
 def test_even_right_second_clause():
@@ -252,12 +247,12 @@ def test_even_right_second_clause():
     p = params(1, [2, 1, 1, 1], [2, 4, 4])
     ctx = EvenCaseContext.from_parameters(p)
     assert ctx.alpha == 1 and ctx.beta == 1 and p.b == 3
-    check_strong(1, [2, 1, 1, 1], [2, 4, 4], label_even_right(p, ctx))
+    check_strong(1, [2, 1, 1, 1], [2, 4, 4])
 
 
 def test_even_right_core_tail_labels():
     for c, p in _direct_cases(13, CaseTag.UNEQUAL_EVEN_RIGHT):
-        lab = label_even_right(p).assignment
+        lab = strongly_antimagic_label(c).labeling.assignment
         assert lab[EdgeAddress.core(p.s)] == p.m
         if p.s >= 3 and p.s % 2 == 1:
             assert lab[EdgeAddress.core(1)] == p.m - 1
@@ -268,7 +263,7 @@ def test_even_right_top_hub_beats_previous_core_edge():
     for c, p in _direct_cases(13, CaseTag.UNEQUAL_EVEN_RIGHT):
         if p.s < 2 or needs_hub_gap_repair(p):
             continue
-        lab = label_even_right(p).assignment
+        lab = strongly_antimagic_label(c).labeling.assignment
         assert lab[EdgeAddress.r_even(p.b, 1)] > lab[EdgeAddress.core(p.s - 1)]
 
 
@@ -282,12 +277,13 @@ def test_hub_gap_family_members_pass():
         inst = CanonicalDoubleSpider(s, (1, 1, 1), (2 * u, 2 * v))
         p = derive_parameters(inst)
         assert needs_hub_gap_repair(p)
-        lab = label_even_right(p)
+        lt = strongly_antimagic_label(inst)
+        lab = lt.labeling
         assert lab.assignment[EdgeAddress.core(p.s)] == p.m
         # the closed form: R/even/1 is the printed path reversed
         assert lab.assignment[EdgeAddress.r_even(1, 1)] == u - 1
         assert lab.assignment[EdgeAddress.r_even(1, 2 * u)] == u + v + (s - 2) // 2
-        rep = verify_strongly_antimagic(materialize_tree(inst), lab)
+        rep = lt.report
         assert rep.strong_ok, (s, u, v, rep.violation)
         assert rep.sums["vl"] > rep.sums["vr"]
 
@@ -368,12 +364,8 @@ def test_hub_sums_ordered_on_all_step_labelers():
     for c in enumerate_instances(11):
         p = derive_parameters(c)
         tag = classify(p)
-        if tag is CaseTag.UNEQUAL_ODD_RIGHT:
-            lab = label_odd_right(p)
-        elif tag is CaseTag.UNEQUAL_EVEN_RIGHT:
-            lab = label_even_right(p)
-        else:
+        if tag not in (CaseTag.UNEQUAL_ODD_RIGHT, CaseTag.UNEQUAL_EVEN_RIGHT):
             continue
-        rep = verify_strongly_antimagic(materialize_tree(c), lab)
+        rep = strongly_antimagic_label(c).report
         assert rep.strong_ok
         assert rep.sums["vl"] > rep.sums["vr"]
