@@ -133,7 +133,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if result.status == "none":
         print(f"none: completed search ({result.nodes_explored} nodes) found no labeling")
         return EXIT_PROVEN_NONE
-    labels = {spider.address_of[e]: lab for e, lab in result.labels.items()}
+    labels = {addr: result.labels[e] for addr, e in spider.edge_of.items()}
     print(f"found after {result.nodes_explored} nodes")
     sys.stdout.write(fileio.format_labeling(EdgeLabeling(m, labels)))
     return EXIT_OK

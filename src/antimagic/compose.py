@@ -22,15 +22,12 @@ from .labeling import EdgeLabeling, LabeledTree, labeled_spider, labeled_tree
 from .spiders import (
     HUB_LEFT,
     HUB_RIGHT,
-    KIND_L_EVEN,
-    KIND_L_ODD,
-    KIND_L_UNIT,
-    KIND_R_EVEN,
     KIND_R_ODD,
     CanonicalDoubleSpider,
     EdgeAddress,
     InvalidSpider,
     materialize_tree,
+    pendant_paths,
 )
 from .trees import edge_key, make_tree
 
@@ -83,9 +80,13 @@ def delete_leaf_level(c: CanonicalDoubleSpider, levels: int = 1) -> CanonicalDou
     )
 
 
-def remove_unit_path(c: CanonicalDoubleSpider, side: str, count: int = 1) -> CanonicalDoubleSpider:
+def _check_side(side: str) -> None:
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
+
+
+def remove_unit_path(c: CanonicalDoubleSpider, side: str, count: int = 1) -> CanonicalDoubleSpider:
+    _check_side(side)
     lengths = c.left_lengths if side == "left" else c.right_lengths
     if lengths[:count].count(1) < count:
         raise InvalidSpider(f"not enough unit paths on the {side} side")
@@ -105,6 +106,7 @@ def grow_all_paths(c: CanonicalDoubleSpider, levels: int = 1) -> CanonicalDouble
 
 
 def add_unit_path(c: CanonicalDoubleSpider, side: str, count: int = 1) -> CanonicalDoubleSpider:
+    _check_side(side)
     units = (1,) * count
     if side == "left":
         return CanonicalDoubleSpider(c.core_length, c.left_lengths + units, c.right_lengths)
@@ -116,24 +118,10 @@ def add_unit_path(c: CanonicalDoubleSpider, side: str, count: int = 1) -> Canoni
 # ---------------------------------------------------------------------------
 
 
-def _path_edges(lengths: tuple[int, ...], side: str) -> list[list[EdgeAddress]]:
-    """Edge addresses of each pendant path, hub outward, in ascending length order."""
-    counts = dict.fromkeys((KIND_R_ODD, KIND_R_EVEN, KIND_L_ODD, KIND_L_EVEN, KIND_L_UNIT), 0)
-    out = []
-    for l in lengths:
-        if side == "right":
-            kind = KIND_R_ODD if l % 2 else KIND_R_EVEN
-        else:
-            kind = KIND_L_UNIT if l == 1 else KIND_L_ODD if l % 2 else KIND_L_EVEN
-        counts[kind] += 1
-        i = counts[kind]
-        if kind == KIND_L_UNIT:
-            out.append([EdgeAddress.l_unit(i)])
-        elif side == "right":
-            out.append([EdgeAddress(kind, i, j) for j in range(1, l + 1)])
-        else:
-            out.append([EdgeAddress(kind, i, j) for j in range(l, 0, -1)])
-    return out
+def _ranked_paths(c: CanonicalDoubleSpider) -> list[tuple[str, list[EdgeAddress]]]:
+    """The pendant paths by hub, shortest first; a leaf extension keeps this order."""
+    return sorted(pendant_paths(c.left_lengths, c.right_lengths),
+                  key=lambda hub_path: (hub_path[0], len(hub_path[1])))
 
 
 def extend_leaf_levels(
@@ -154,12 +142,10 @@ def extend_leaf_levels(
     assignment = {EdgeAddress.core(j): old[EdgeAddress.core(j)] + shift
                   for j in range(1, c.core_length + 1)}
     tails: list[tuple[int, list[EdgeAddress]]] = []  # (old pendant label, new edges by level)
-    for side, before, after in (("right", c.right_lengths, grown.right_lengths),
-                                ("left", c.left_lengths, grown.left_lengths)):
-        for olds, news in zip(_path_edges(before, side), _path_edges(after, side)):
-            for a, b in zip(olds, news):
-                assignment[b] = old[a] + shift
-            tails.append((old[olds[-1]], news[len(olds):]))
+    for (_, olds), (_, news) in zip(_ranked_paths(c), _ranked_paths(grown)):
+        for a, b in zip(olds, news):
+            assignment[b] = old[a] + shift
+        tails.append((old[olds[-1]], news[len(olds):]))
     tails.sort(key=lambda tail: tail[0])
     for r, (_, news) in enumerate(tails, start=1):
         for q, b in enumerate(news, start=1):
@@ -176,6 +162,7 @@ def insert_unit_paths(
     right the new units sit after the old ones among the odd paths, so the
     longer odd paths move k indices up.
     """
+    _check_side(side)
     old = labeling.assignment
     if side == "left":
         t = c.left_lengths.count(1)
@@ -218,40 +205,21 @@ def extend_leaves(lt: LabeledTree) -> LabeledTree:
     """Attach one new pendant edge to every leaf (Lemma-1 style growth).
 
     New edges get 1..|V1| in ascending order of the old leaf sums; every old
-    label shifts up by |V1|.
+    label shifts up by |V1|.  A double spider stays one; any other tree goes
+    through attach_pendants_to_degree_class with k = 1.
     """
+    if lt.spider is None:
+        return attach_pendants_to_degree_class(lt, 1)
     if not lt.report.strong_ok:
         raise CompositionError("input labeling is not strongly antimagic")
-    leaves = lt.tree.leaves()
-    if not leaves:
-        raise CompositionError("tree has no leaves")
-    if lt.spider is not None:
-        return _verified(extend_leaf_levels(lt.spider.instance, lt.labeling, 1), "leaf extension")
-
-    n = len(leaves)
-    ranked = sorted(leaves, key=lambda v: lt.report.sums[v])
-    taken = set(lt.tree.vertices)
-    new_vertices = list(lt.tree.vertices)
-    new_edges = list(lt.tree.edges)
-    labels = {e: lab + n for e, lab in lt.labels.items()}
-    for rank, leaf in enumerate(ranked, start=1):
-        mate = _fresh_id(leaf, taken)
-        taken.add(mate)
-        new_vertices.append(mate)
-        e = edge_key(leaf, mate)
-        new_edges.append(e)
-        labels[e] = rank
-    out = labeled_tree(make_tree(new_vertices, new_edges), labels)
-    if not out.report.strong_ok:
-        raise ConstructionBug("leaf extension broke the strong property")
-    return out
+    return _verified(extend_leaf_levels(lt.spider.instance, lt.labeling, 1), "leaf extension")
 
 
 def attach_pendants_to_degree_class(lt: LabeledTree, k: int) -> LabeledTree:
     """Attach one new pendant edge to every degree-k vertex.
 
-    Generalizes extend_leaves (which is the k = 1 case); the output is a
-    plain labeled tree even when the input was a double spider, since the
+    With k = 1 this is extend_leaves on a plain tree; the output is a plain
+    labeled tree even when the input was a double spider, since the
     attachment usually leaves that family.
     """
     if not lt.report.strong_ok:
@@ -291,8 +259,7 @@ def insert_unit_path(lt: LabeledTree, side: str) -> LabeledTree:
     the left one; left insertion needs the left hub to stay strictly ahead in
     degree and to already carry the larger vertex sum.
     """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
+    _check_side(side)
     if lt.spider is None:
         raise CompositionError("unit-path insertion needs a double spider instance")
     if not lt.report.strong_ok:

@@ -23,7 +23,6 @@ from .spiders import (
     EdgeAddress,
     SpiderTree,
     address_sort_key,
-    all_addresses,
     parse_address,
 )
 
@@ -109,7 +108,7 @@ def format_labeling(labeling: EdgeLabeling) -> str:
 
 def check_labeling_matches(spider: SpiderTree, labeling: EdgeLabeling) -> None:
     """Raise FormatError unless the labeling covers exactly the instance's edges."""
-    expected = set(all_addresses(spider.params))
+    expected = spider.edge_of.keys()
     got = set(labeling.assignment)
     if got != expected:
         missing = sorted(expected - got, key=address_sort_key)
@@ -134,7 +133,7 @@ def export_dot(spider: SpiderTree, labeling: EdgeLabeling | None = None) -> str:
     lines = ["graph doublespider {"]
     for v in sorted(spider.tree.vertices, key=order.get):
         lines.append(f'  "{v}";')
-    for addr in sorted(spider.address_of.values(), key=address_sort_key):
+    for addr in sorted(spider.edge_of, key=address_sort_key):
         u, v = spider.edge_of[addr]
         if labeling is None:
             lines.append(f'  "{u}" -- "{v}";')

@@ -3,9 +3,9 @@
 A double spider is a tree with exactly two vertices of degree >= 3 (the hubs
 vl and vr), joined by a core path of length s, with a multiset of pendant
 paths hanging off each hub.  This module owns validation, the canonical
-orientation, the derived counting parameters, edge addressing, tree
-materialization, case classification, and exhaustive enumeration by edge
-budget.
+orientation, the derived counting parameters, edge addressing, the
+pendant-path layout (defined once, in pendant_paths), tree materialization,
+case classification, and exhaustive enumeration by edge budget.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .trees import Edge, Tree, edge_key, make_tree
 
@@ -85,9 +85,6 @@ class CanonicalDoubleSpider:
     @property
     def sort_key(self) -> tuple:
         return (self.total_edges, self.core_length, self.right_lengths, self.left_lengths)
-
-    def as_spec(self) -> DoubleSpiderSpec:
-        return DoubleSpiderSpec(self.core_length, self.left_lengths, self.right_lengths)
 
 
 def _oriented_ok(left: tuple[int, ...], right: tuple[int, ...]) -> bool:
@@ -294,103 +291,92 @@ def parse_address(text: str) -> EdgeAddress:
     raise ValueError(f"bad edge address: {text!r}")
 
 
+HUB_LEFT = "vl"
+HUB_RIGHT = "vr"
+
+
+def pendant_paths(left_lengths: Sequence[int],
+                  right_lengths: Sequence[int]) -> list[tuple[str, list[EdgeAddress]]]:
+    """Every pendant path as (hub, edge addresses from the hub outward).
+
+    Paths come class by class (R/odd, R/even, L/odd, L/even, L/unit) and, in
+    a class, by index i, which counts the class's lengths in the order given
+    (ascending on a canonical instance).  On right paths j grows from the hub;
+    on left paths it falls to the pendant edge's j = 1.
+    """
+    classes = (
+        (HUB_RIGHT, KIND_R_ODD, [l for l in right_lengths if l % 2]),
+        (HUB_RIGHT, KIND_R_EVEN, [l for l in right_lengths if l % 2 == 0]),
+        (HUB_LEFT, KIND_L_ODD, [l for l in left_lengths if l % 2 and l > 1]),
+        (HUB_LEFT, KIND_L_EVEN, [l for l in left_lengths if l % 2 == 0]),
+    )
+    out = []
+    for hub, kind, lengths in classes:
+        for i, l in enumerate(lengths, start=1):
+            js = range(1, l + 1) if hub == HUB_RIGHT else range(l, 0, -1)
+            out.append((hub, [EdgeAddress(kind, i, j) for j in js]))
+    out.extend((HUB_LEFT, [EdgeAddress.l_unit(i)]) for i in range(1, left_lengths.count(1) + 1))
+    return out
+
+
+def _layout(p: Parameters) -> list[tuple[str, list[EdgeAddress]]]:
+    """pendant_paths of the instance p was derived from, rebuilt from x, y, w, z, t."""
+    return pendant_paths([2 * wi + 1 for wi in p.w] + [2 * zi for zi in p.z] + [1] * p.t,
+                         [2 * xi + 1 for xi in p.x] + [2 * yi for yi in p.y])
+
+
 def all_addresses(p: Parameters) -> list[EdgeAddress]:
-    """Every in-range address of an instance, in canonical order."""
+    """Every in-range address of an instance: the core, then the path layout."""
     out = [EdgeAddress.core(j) for j in range(1, p.s + 1)]
-    for i, xi in enumerate(p.x, start=1):
-        out.extend(EdgeAddress.r_odd(i, j) for j in range(1, 2 * xi + 2))
-    for i, yi in enumerate(p.y, start=1):
-        out.extend(EdgeAddress.r_even(i, j) for j in range(1, 2 * yi + 1))
-    for i, wi in enumerate(p.w, start=1):
-        out.extend(EdgeAddress.l_odd(i, j) for j in range(1, 2 * wi + 2))
-    for i, zi in enumerate(p.z, start=1):
-        out.extend(EdgeAddress.l_even(i, j) for j in range(1, 2 * zi + 1))
-    out.extend(EdgeAddress.l_unit(i) for i in range(1, p.t + 1))
+    for _, path in _layout(p):
+        out.extend(path)
     return out
 
 
 def pendant_addresses(p: Parameters) -> list[EdgeAddress]:
     """Addresses of the pendant (leaf-incident) edges."""
-    out = []
-    out.extend(EdgeAddress.r_odd(i, 2 * xi + 1) for i, xi in enumerate(p.x, start=1))
-    out.extend(EdgeAddress.r_even(i, 2 * yi) for i, yi in enumerate(p.y, start=1))
-    out.extend(EdgeAddress.l_odd(i, 1) for i in range(1, p.c + 1))
-    out.extend(EdgeAddress.l_even(i, 1) for i in range(1, p.d + 1))
-    out.extend(EdgeAddress.l_unit(i) for i in range(1, p.t + 1))
-    return out
+    return [path[-1] for _, path in _layout(p)]
 
 
 # ---------------------------------------------------------------------------
 # Materialization
 # ---------------------------------------------------------------------------
 
-HUB_LEFT = "vl"
-HUB_RIGHT = "vr"
-
 
 @dataclass(frozen=True)
 class SpiderTree:
-    """Materialized double spider: the tree plus the address <-> edge maps."""
+    """Materialized double spider: the tree plus the address -> edge map."""
 
     instance: CanonicalDoubleSpider
     params: Parameters
     tree: Tree
     edge_of: dict[EdgeAddress, Edge]
-    address_of: dict[Edge, EdgeAddress]
-
-    @property
-    def hubs(self) -> tuple[str, str]:
-        return (HUB_LEFT, HUB_RIGHT)
 
 
 def materialize_tree(c: CanonicalDoubleSpider) -> SpiderTree:
-    """Build the concrete tree with vertex ids mirroring the address scheme."""
+    """Build the concrete tree with vertex ids mirroring the address scheme.
+
+    The core's inner vertices are core/2..core/s; every other vertex is named
+    by the address of the path edge that reaches it from the hub's side.
+    """
     p = derive_parameters(c)
-    s = p.s
-    core_chain = [HUB_LEFT] + [f"core/{i}" for i in range(2, s + 1)] + [HUB_RIGHT]
+    core_chain = [HUB_LEFT] + [f"core/{i}" for i in range(2, p.s + 1)] + [HUB_RIGHT]
     vertices: list[str] = list(core_chain)
     edge_of: dict[EdgeAddress, Edge] = {}
-
-    for j in range(1, s + 1):
+    for j in range(1, p.s + 1):
         edge_of[EdgeAddress.core(j)] = edge_key(core_chain[j - 1], core_chain[j])
-
-    def add_right(kind: str, i: int, length: int) -> None:
-        chain = [HUB_RIGHT] + [f"{kind}/{i}/{j}" for j in range(1, length + 1)]
-        vertices.extend(chain[1:])
-        for j in range(1, length + 1):
-            edge_of[EdgeAddress(kind, i, j)] = edge_key(chain[j - 1], chain[j])
-
-    def add_left(kind: str, i: int, length: int) -> None:
-        # Hub-adjacent vertex has the top j; the pendant edge has j = 1.
-        chain = [HUB_LEFT] + [f"{kind}/{i}/{j}" for j in range(length, 0, -1)]
-        vertices.extend(chain[1:])
-        for pos in range(1, length + 1):
-            j = length + 1 - pos
-            edge_of[EdgeAddress(kind, i, j)] = edge_key(chain[pos - 1], chain[pos])
-
-    for i, xi in enumerate(p.x, start=1):
-        add_right(KIND_R_ODD, i, 2 * xi + 1)
-    for i, yi in enumerate(p.y, start=1):
-        add_right(KIND_R_EVEN, i, 2 * yi)
-    for i, wi in enumerate(p.w, start=1):
-        add_left(KIND_L_ODD, i, 2 * wi + 1)
-    for i, zi in enumerate(p.z, start=1):
-        add_left(KIND_L_EVEN, i, 2 * zi)
-    for i in range(1, p.t + 1):
-        vid = f"L/unit/{i}"
-        vertices.append(vid)
-        edge_of[EdgeAddress.l_unit(i)] = edge_key(HUB_LEFT, vid)
+    for hub, path in pendant_paths(c.left_lengths, c.right_lengths):
+        near = hub
+        for addr in path:
+            far = addr.text
+            vertices.append(far)
+            edge_of[addr] = edge_key(near, far)
+            near = far
 
     tree = make_tree(vertices, edge_of.values())
     assert tree.degree(HUB_LEFT) == p.deg_vl and tree.degree(HUB_RIGHT) == p.deg_vr
     assert sorted(v for v in tree.vertices if tree.degree(v) >= 3) == sorted([HUB_LEFT, HUB_RIGHT])
-    return SpiderTree(
-        instance=c,
-        params=p,
-        tree=tree,
-        edge_of=edge_of,
-        address_of={e: a for a, e in edge_of.items()},
-    )
+    return SpiderTree(instance=c, params=p, tree=tree, edge_of=edge_of)
 
 
 # ---------------------------------------------------------------------------

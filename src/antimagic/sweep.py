@@ -82,8 +82,8 @@ def run_sweep(max_edges: int, oracle_max: int | None = None, workers: int = 1) -
     return SweepReport(max_edges=max_edges, records=tuple(records))
 
 
-def format_report(report: SweepReport, include_timing: bool = False) -> str:
-    """Render the sweep report; timing is opt-in so the text stays run-stable."""
+def format_report(report: SweepReport) -> str:
+    """Render the sweep report; timings are left out so the text stays run-stable."""
     lines = [f"max_edges = {report.max_edges}", f"instances = {report.total}",
              f"failures = {len(report.failures)}"]
     for r in report.records:
@@ -93,7 +93,5 @@ def format_report(report: SweepReport, include_timing: bool = False) -> str:
                 f"m={r.m} case={r.tag.value} result={'pass' if r.ok else 'FAIL'}")
         if r.detail:
             line += f" detail={r.detail}"
-        if include_timing:
-            line += f" elapsed={r.elapsed:.6f}s"
         lines.append(line)
     return "\n".join(lines) + "\n"

@@ -67,9 +67,6 @@ class Tree:
     def leaves(self) -> tuple[str, ...]:
         return tuple(v for v in self.vertices if self.degree(v) == 1)
 
-    def incident_edges(self, v: str) -> tuple[Edge, ...]:
-        return tuple(edge_key(v, w) for w in self.adjacency[v])
-
 
 def make_tree(vertices, edges) -> Tree:
     """Build a Tree, normalizing edge keys."""

@@ -141,6 +141,20 @@ def test_oracle_special_instance(capsys, special_spec):
     assert "m = 8" in out
 
 
+@pytest.mark.parametrize("text", [SPECIAL, "core = 1\nleft = 2,1,1\nright = 3,2\n"],
+                         ids=["special", "even-paths"])
+def test_oracle_labeling_passes_verify(tmp_path, capsys, text):
+    # the oracle's witness, mapped back to addresses, is a valid labeling file
+    spec = tmp_path / "inst.txt"
+    spec.write_text(text)
+    assert main(["oracle", "--spec", str(spec), "--strong"]) == 0
+    found, labeling = capsys.readouterr().out.split("\n", 1)
+    assert found.startswith("found")
+    lab = tmp_path / "oracle.lab"
+    lab.write_text(labeling)
+    assert main(["verify", "--spec", str(spec), "--labeling", str(lab), "--strong"]) == 0
+
+
 def test_oracle_budget_exhaustion(tmp_path, capsys):
     big = tmp_path / "big.txt"
     big.write_text("core = 9\nleft = 5,5,5\nright = 4,4\n")

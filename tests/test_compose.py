@@ -103,8 +103,8 @@ def test_attach_degree1_matches_extend():
     lt = path_lt(1, 3, 4, 2)
     a = attach_pendants_to_degree_class(lt, 1)
     b = extend_leaves(lt)
-    assert sorted(a.labels.values()) == sorted(b.labels.values())
-    assert sorted(a.report.sums.values()) == sorted(b.report.sums.values())
+    assert a.labels == b.labels
+    assert a.report.sums == b.report.sums
 
 
 def test_attach_empty_class_rejected():
@@ -209,6 +209,17 @@ def test_remove_unit_path_rejects_unknown_side():
     c = CanonicalDoubleSpider(1, (1, 1, 2), (1, 1, 3))
     with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
         remove_unit_path(c, "Left")
+
+
+def test_unit_path_moves_reject_unknown_side():
+    c = CanonicalDoubleSpider(1, (1, 1, 1, 2), (1, 3))
+    lt = strongly_antimagic_label(c)
+    with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+        add_unit_path(c, "Left")
+    with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+        insert_unit_paths(c, lt.labeling, "Left", 1)
+    with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+        insert_unit_path(lt, "Left")
 
 
 def test_reduction_stack_replays_to_original():

@@ -1,8 +1,16 @@
 """Instance files, labeling files, and DOT export."""
 
+import hashlib
+
 import pytest
 
-from antimagic import DoubleSpiderSpec, canonicalize, materialize_tree, strongly_antimagic_label
+from antimagic import (
+    DoubleSpiderSpec,
+    canonicalize,
+    enumerate_instances,
+    materialize_tree,
+    strongly_antimagic_label,
+)
 from antimagic.fileio import (
     FormatError,
     check_labeling_matches,
@@ -91,6 +99,18 @@ def test_export_dot_special_instance():
     plain = export_dot(spider)
     assert "label=" not in plain
     assert export_dot(spider, lt.labeling) == dot  # byte-stable
+
+
+def test_export_dot_is_pinned():
+    # one digest over the labeled DOT text of every instance with m <= 12
+    digest = hashlib.sha256()
+    count = 0
+    for c in enumerate_instances(12):
+        lt = strongly_antimagic_label(c)
+        digest.update(export_dot(lt.spider, lt.labeling).encode())
+        count += 1
+    assert count == 843
+    assert digest.hexdigest() == "82cb7a0a5eea0af11b1e0aa5c23e9ff8fc9b8c435e407d0000256132c846578b"
 
 
 def test_export_dot_rejects_mismatch():

@@ -139,7 +139,10 @@ def test_materialize_address_bijection():
         addrs = all_addresses(sp.params)
         assert len(addrs) == sp.params.m
         assert set(addrs) == set(sp.edge_of)
-        assert {sp.address_of[sp.edge_of[a]] for a in addrs} == set(addrs)
+        assert len(set(sp.edge_of.values())) == sp.params.m
+        assert tuple(sp.edge_of.values()) == sp.tree.edges
+        # a path edge's far end is the vertex named by its address
+        assert all(a.text in e for a, e in sp.edge_of.items() if a.kind != "core")
         high = sorted(v for v in sp.tree.vertices if sp.tree.degree(v) >= 3)
         assert high == ["vl", "vr"]
         assert sp.tree.degree("vl") >= sp.tree.degree("vr")
