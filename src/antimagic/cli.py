@@ -4,7 +4,7 @@ Subcommands: label, verify, sweep, oracle, export-dot.  Exit codes are part
 of the interface:
 
     0  success
-    1  malformed input
+    1  malformed input, or a file that cannot be read or written
     2  property failure (verification failed, sweep found a failure)
     3  internal bug sentinel (a constructed labeling failed verification)
     4  completed search proved no labeling exists
@@ -43,16 +43,15 @@ def _read(path: str) -> str:
 def _write(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise fileio.FormatError(f"cannot write {path}: {exc}") from None
 
 
 def cmd_label(args: argparse.Namespace) -> int:
-    try:
-        spec = fileio.parse_instance(_read(args.spec))
-    except fileio.FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    spec = fileio.parse_instance(_read(args.spec))
     trace: list[str] | None = [] if args.trace else None
     try:
         lt = strongly_antimagic_label(spec, trace=trace)
@@ -68,14 +67,10 @@ def cmd_label(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        spec = fileio.parse_instance(_read(args.spec))
-        labeling = fileio.parse_labeling(_read(args.labeling))
-        spider = materialize_tree(canonicalize(spec))
-        fileio.check_labeling_matches(spider, labeling)
-    except fileio.FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    spec = fileio.parse_instance(_read(args.spec))
+    labeling = fileio.parse_labeling(_read(args.labeling))
+    spider = materialize_tree(canonicalize(spec))
+    fileio.check_labeling_matches(spider, labeling)
     report = vertex_sums(spider, labeling)
     if not report.bijection_ok:
         print("fail: labels are not a bijection onto 1..m")
@@ -113,11 +108,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    try:
-        spec = fileio.parse_instance(_read(args.spec))
-    except fileio.FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    spec = fileio.parse_instance(_read(args.spec))
     m = spec.total_edges
     if m > args.max_edges:
         print(f"budget exhausted: instance has {m} edges, over the {args.max_edges}-edge budget")
@@ -140,16 +131,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
-    try:
-        spec = fileio.parse_instance(_read(args.spec))
-        spider = materialize_tree(canonicalize(spec))
-        labeling = None
-        if args.labeling:
-            labeling = fileio.parse_labeling(_read(args.labeling))
-            fileio.check_labeling_matches(spider, labeling)
-    except fileio.FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    spec = fileio.parse_instance(_read(args.spec))
+    spider = materialize_tree(canonicalize(spec))
+    labeling = None
+    if args.labeling:
+        labeling = fileio.parse_labeling(_read(args.labeling))
+        fileio.check_labeling_matches(spider, labeling)
     _write(args.out, fileio.export_dot(spider, labeling))
     return EXIT_OK
 
@@ -200,7 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except fileio.FormatError as exc:
+        # malformed or unreadable input, or an unwritable output path
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 def entry() -> None:

@@ -16,8 +16,6 @@ double spider branches of the public moves are those with k = 1, verified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .labeling import EdgeLabeling, LabeledTree, labeled_spider, labeled_tree
 from .spiders import (
     HUB_LEFT,
@@ -38,30 +36,6 @@ class CompositionError(ValueError):
 
 class ConstructionBug(RuntimeError):
     """A move that is guaranteed to preserve the strong property failed to."""
-
-
-@dataclass(frozen=True)
-class ReductionStep:
-    """One recorded reduction; replaying the stack LIFO undoes the whole chain."""
-
-    kind: str  # "delete-leaf-level" | "remove-unit-right" | "remove-unit-left"
-
-    def invert_run(
-        self, c: CanonicalDoubleSpider, labeling: EdgeLabeling, k: int
-    ) -> tuple[CanonicalDoubleSpider, EdgeLabeling]:
-        """Undo k copies of this reduction at once, without verifying."""
-        if self.kind == "delete-leaf-level":
-            return extend_leaf_levels(c, labeling, k)
-        if self.kind == "remove-unit-right":
-            return insert_unit_paths(c, labeling, "right", k)
-        if self.kind == "remove-unit-left":
-            return insert_unit_paths(c, labeling, "left", k)
-        raise ValueError(f"unknown reduction kind {self.kind!r}")
-
-
-DELETE_LEAF_LEVEL = ReductionStep("delete-leaf-level")
-REMOVE_UNIT_RIGHT = ReductionStep("remove-unit-right")
-REMOVE_UNIT_LEFT = ReductionStep("remove-unit-left")
 
 
 # ---------------------------------------------------------------------------

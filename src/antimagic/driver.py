@@ -3,31 +3,27 @@
 One path from instance to verified labeling: materialize the instance, label
 it, verify once.  Instances that one of the step labelers covers are labeled
 directly; the rest are reduced (leaf-level deletions, unit-path removals) to
-a coverable residue and the recorded reductions are undone LIFO as one
-batched relabeling.  The labelers and the replay work on address-keyed
-labelings; only the final one meets the tree, in the one verification.
+a coverable residue, and each run of equal reductions is undone, LIFO, by
+one direct batched relabeling (`compose.insert_unit_paths`,
+`compose.extend_leaf_levels`).  The labelers and the replay work on
+address-keyed labelings; only the final one meets the tree, in the one
+verification.
 """
 
 from __future__ import annotations
 
-from itertools import groupby
-
 from .compose import (
-    DELETE_LEAF_LEVEL,
-    REMOVE_UNIT_LEFT,
-    REMOVE_UNIT_RIGHT,
     ConstructionBug,
-    ReductionStep,
     delete_leaf_level,
+    extend_leaf_levels,
+    insert_unit_paths,
     remove_unit_path,
 )
 from .labeling import EdgeLabeling, LabeledTree, labeled_spider
 from .labelers import (
     SPECIAL_INSTANCE,
     SPECIAL_INSTANCE_ASSIGNMENT,
-    EvenCaseContext,
     StepEvent,
-    TypeBCContext,
     even_right_steps,
     is_type_a,
     odd_right_steps,
@@ -92,7 +88,7 @@ def _label(c: CanonicalDoubleSpider, p: Parameters, trace: list[str] | None) -> 
         return _from_steps(p, odd_right_steps(p), trace)
     if tag is CaseTag.UNEQUAL_EVEN_RIGHT:
         _note(trace, f"direct even-right labeling of {_instance_note(c)}")
-        return _from_steps(p, even_right_steps(p, EvenCaseContext.from_parameters(p)), trace)
+        return _from_steps(p, even_right_steps(p), trace)
     if tag is CaseTag.UNEQUAL_ALL_UNIT_RIGHT:
         return _label_all_unit_right(c, trace)
     return _label_equal_degrees(c, high=(tag is CaseTag.EQUAL_DEG_HIGH), trace=trace)
@@ -109,35 +105,34 @@ def _label_residue(c: CanonicalDoubleSpider, trace: list[str] | None) -> EdgeLab
         _note(trace, f"type-(a) labeling of residue {_instance_note(c)}")
         return _from_steps(p, type_a_steps(p), trace)
     _note(trace, f"type-(b)/(c) labeling of residue {_instance_note(c)}")
-    return _from_steps(p, type_bc_steps(p, TypeBCContext.from_parameters(p)), trace)
+    return _from_steps(p, type_bc_steps(p), trace)
 
 
-def _replay(c: CanonicalDoubleSpider, labeling: EdgeLabeling, stack: list[ReductionStep],
-            trace: list[str] | None) -> EdgeLabeling:
-    """Undo the stack LIFO, one batched relabeling per run of equal moves."""
-    for step, run in groupby(reversed(stack)):
-        k = len(list(run))
-        for _ in range(k):
-            _note(trace, f"replay {step.kind}")
-        c, labeling = step.invert_run(c, labeling, k)
-    return labeling
+def _note_replay(trace: list[str] | None, kind: str, k: int) -> None:
+    for _ in range(k):
+        _note(trace, f"replay {kind}")
 
 
 def _label_all_unit_right(c: CanonicalDoubleSpider, trace: list[str] | None) -> EdgeLabeling:
     # Strip the right side down to two unit paths, then unit paths on the left
-    # while the left hub keeps degree >= 3 afterwards.
+    # while the left hub keeps degree >= 3 afterwards; undo both LIFO.
     a = len(c.right_lengths) - 2
     b = min(c.left_lengths.count(1), len(c.left_lengths) - 2)
     cur = remove_unit_path(remove_unit_path(c, "right", a), "left", b)
-    stack = [REMOVE_UNIT_RIGHT] * a + [REMOVE_UNIT_LEFT] * b
-    _note(trace, f"reduced {_instance_note(c)} by {len(stack)} unit removals")
-    return _replay(cur, _label_residue(cur, trace), stack, trace)
+    _note(trace, f"reduced {_instance_note(c)} by {a + b} unit removals")
+    labeling = _label_residue(cur, trace)
+    if b:
+        _note_replay(trace, "remove-unit-left", b)
+        cur, labeling = insert_unit_paths(cur, labeling, "left", b)
+    if a:
+        _note_replay(trace, "remove-unit-right", a)
+        labeling = insert_unit_paths(cur, labeling, "right", a)[1]
+    return labeling
 
 
 def _label_equal_degrees(c: CanonicalDoubleSpider, high: bool,
                          trace: list[str] | None) -> EdgeLabeling:
     h = min(min(c.left_lengths), min(c.right_lengths))
-    stack = [DELETE_LEAF_LEVEL] * (h - 1)
     cur = delete_leaf_level(c, h - 1)
     if h > 1:
         _note(trace, f"deleted {h - 1} leaf levels from {_instance_note(c)}")
@@ -146,9 +141,13 @@ def _label_equal_degrees(c: CanonicalDoubleSpider, high: bool,
     assert 1 in cur.right_lengths
     if high:
         cur = remove_unit_path(cur, "right")
-        stack.append(REMOVE_UNIT_RIGHT)
         _note(trace, f"removed one right unit, recursing on {_instance_note(cur)}")
         labeling = _label(cur, derive_parameters(cur), trace)
+        _note_replay(trace, "remove-unit-right", 1)
+        cur, labeling = insert_unit_paths(cur, labeling, "right", 1)
     else:
         labeling = _label_residue(cur, trace)
-    return _replay(cur, labeling, stack, trace)
+    if h > 1:
+        _note_replay(trace, "delete-leaf-level", h - 1)
+        labeling = extend_leaf_levels(cur, labeling, h - 1)[1]
+    return labeling

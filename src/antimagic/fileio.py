@@ -129,9 +129,8 @@ def export_dot(spider: SpiderTree, labeling: EdgeLabeling | None = None) -> str:
     """Deterministic DOT text; vertex names are the canonical addresses."""
     if labeling is not None:
         check_labeling_matches(spider, labeling)
-    order = {v: i for i, v in enumerate(spider.tree.vertices)}
     lines = ["graph doublespider {"]
-    for v in sorted(spider.tree.vertices, key=order.get):
+    for v in spider.tree.vertices:
         lines.append(f'  "{v}";')
     for addr in sorted(spider.edge_of, key=address_sort_key):
         u, v = spider.edge_of[addr]

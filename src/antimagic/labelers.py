@@ -50,6 +50,79 @@ def _evens(lo: int, hi: int) -> range:
 
 
 # ---------------------------------------------------------------------------
+# Steps shared by the labelers: each appends its events from a base label;
+# the caller supplies the step number and the base of its own step list.
+# ---------------------------------------------------------------------------
+
+
+def _inner_core(ev: list[StepEvent], step: int, p: Parameters, base: int) -> None:
+    """The core edges other than the three or four at its ends; none for s < 4."""
+    s = p.s
+    if s % 2 == 0:
+        for j in _evens(2, s - 2):
+            ev.append(StepEvent(step, EdgeAddress.core(j), base + (s - j) // 2))
+    else:
+        for j in _odds(3, s - 2):
+            ev.append(StepEvent(step, EdgeAddress.core(j), base + (j - 1) // 2))
+
+
+def _core_sweep(ev: list[StepEvent], step: int, p: Parameters, base: int) -> None:
+    """Odd core edges from vr inwards (even s), or even ones outwards (odd s)."""
+    s = p.s
+    if s % 2 == 0:
+        for j in _odds(1, s):
+            ev.append(StepEvent(step, EdgeAddress.core(j), base + (s + 1 - j) // 2))
+    else:
+        for j in _evens(2, s):
+            ev.append(StepEvent(step, EdgeAddress.core(j), base + j // 2))
+
+
+def _last_core(ev: list[StepEvent], step: int, p: Parameters) -> None:
+    """core/s gets m; an odd core with s >= 3 also gives core/1 m - 1."""
+    s = p.s
+    if s % 2 == 1 and s > 1:
+        ev.append(StepEvent(step, EdgeAddress.core(1), p.m - 1))
+    ev.append(StepEvent(step, EdgeAddress.core(s), p.m))
+
+
+def _even_left_odd_edges(ev: list[StepEvent], step: int, p: Parameters, base: int) -> None:
+    for i in range(1, p.d + 1):
+        for j in _odds(1, 2 * p.z[i - 1]):
+            ev.append(StepEvent(step, EdgeAddress.l_even(i, j), base + p.D[i - 1] + (j + 1) // 2))
+
+
+def _even_left_even_edges(ev: list[StepEvent], step: int, p: Parameters, base: int) -> None:
+    for i in range(1, p.d + 1):
+        for j in _evens(2, 2 * p.z[i - 1]):
+            ev.append(StepEvent(step, EdgeAddress.l_even(i, j), base + p.D[i - 1] + j // 2))
+
+
+def _long_odd_left_odd_edges(ev: list[StepEvent], step: int, p: Parameters, base: int) -> None:
+    """Odd edges of the long odd left paths but their hub edges, which wait."""
+    for i in range(1, p.c + 1):
+        for j in _odds(1, 2 * p.w[i - 1]):
+            ev.append(StepEvent(step, EdgeAddress.l_odd(i, j), base + p.C_even[i - 1] + (j + 1) // 2))
+
+
+def _long_odd_left_even_edges(ev: list[StepEvent], step: int, p: Parameters, base: int) -> None:
+    for i in range(1, p.c + 1):
+        for j in _evens(2, 2 * p.w[i - 1]):
+            ev.append(StepEvent(step, EdgeAddress.l_odd(i, j), base + p.C_even[i - 1] + j // 2))
+
+
+def _left_hub_edges(ev: list[StepEvent], step: int, p: Parameters, base: int) -> None:
+    """The deferred hub edges of the long odd left paths get base + 1, base + 2, ..."""
+    for i in range(1, p.c + 1):
+        ev.append(StepEvent(step, EdgeAddress.l_odd(i, 2 * p.w[i - 1] + 1), base + i))
+
+
+def _odd_right_even_edges(ev: list[StepEvent], step: int, p: Parameters, base: int) -> None:
+    for i in range(1, p.a + 1):
+        for j in _evens(2, 2 * p.x[i - 1]):
+            ev.append(StepEvent(step, EdgeAddress.r_odd(i, j), base + p.A_even[i - 1] + j // 2))
+
+
+# ---------------------------------------------------------------------------
 # Type (a): both hubs of degree 3, four unit paths around the core
 # ---------------------------------------------------------------------------
 
@@ -102,15 +175,12 @@ class TypeBCContext:
     """Bookkeeping for the eleven-step labeler.
 
     k is the length of the non-designated right path; t_prime switches the
-    Step-5 ordering; w_prime is -1 exactly when a long odd left path exists;
-    s1/s2 count core edges handled before/after the main sweep.
+    Step-5 ordering; w_prime is -1 exactly when a long odd left path exists.
     """
 
     k: int
     t_prime: int
     w_prime: int
-    s1: int
-    s2: int
 
     @classmethod
     def from_parameters(cls, p: Parameters) -> "TypeBCContext":
@@ -123,7 +193,7 @@ class TypeBCContext:
             p.t == 1 and p.s == 2 and p.c == 1 and p.w and p.w[0] == 1 and k >= 2
         ) else 0
         w_prime = -1 if p.c >= 1 else 0
-        ctx = cls(k=k, t_prime=t_prime, w_prime=w_prime, s1=p.s1, s2=p.s2)
+        ctx = cls(k=k, t_prime=t_prime, w_prime=w_prime)
         assert k // 2 + p.c + w_prime + p.D[p.d] + p.t >= 1
         if t_prime == 1:
             assert k // 2 + p.D[p.d] >= 1
@@ -136,7 +206,6 @@ def _check_type_bc_shape(p: Parameters) -> None:
 
 
 def _check_type_bc(p: Parameters, ctx: TypeBCContext) -> None:
-    _check_type_bc_shape(p)
     if p.t > 1:
         raise UnsupportedCase("types (b)/(c) allow at most one unit path on the left")
     if p.t == 1 and p.deg_vl != 3:
@@ -145,10 +214,11 @@ def _check_type_bc(p: Parameters, ctx: TypeBCContext) -> None:
         raise UnsupportedCase("this is the special instance with its own fixed labeling")
 
 
-def type_bc_steps(p: Parameters, ctx: TypeBCContext) -> list[StepEvent]:
+def type_bc_steps(p: Parameters) -> list[StepEvent]:
+    ctx = TypeBCContext.from_parameters(p)
     _check_type_bc(p, ctx)
-    k, w_, s1 = ctx.k, ctx.w_prime, ctx.s1
-    s, c, d, t = p.s, p.c, p.d, p.t
+    k, w_, s1 = ctx.k, ctx.w_prime, p.s1
+    c, d, t = p.c, p.d, p.t
     D = p.D
 
     def pk(j: int) -> EdgeAddress:
@@ -171,19 +241,10 @@ def type_bc_steps(p: Parameters, ctx: TypeBCContext) -> list[StepEvent]:
 
     # Step 3: inner core edges.
     base3 = k // 2 + p.C_odd[c] + w_
-    if s >= 4:
-        if s % 2 == 0:
-            for j in _evens(2, s - 2):
-                ev.append(StepEvent(3, EdgeAddress.core(j), base3 + (s - j) // 2))
-        else:
-            for j in _odds(3, s - 2):
-                ev.append(StepEvent(3, EdgeAddress.core(j), base3 + (j - 1) // 2))
+    _inner_core(ev, 3, p, base3)
 
     # Step 4: odd edges of even left paths.
-    for i in range(1, d + 1):
-        for j in _odds(1, 2 * p.z[i - 1]):
-            ev.append(StepEvent(4, EdgeAddress.l_even(i, j),
-                                base3 + s1 + D[i - 1] + (j + 1) // 2))
+    _even_left_odd_edges(ev, 4, p, base3 + s1)
 
     # Step 5: the right unit edge and the left unit edge, order set by t'.
     base5 = base3 + s1 + D[d]
@@ -200,37 +261,20 @@ def type_bc_steps(p: Parameters, ctx: TypeBCContext) -> list[StepEvent]:
         ev.append(StepEvent(6, pk(j), base5 + 1 + t + (k + 2 - j) // 2))
 
     # Step 7: even edges of long odd left paths.
-    base7 = k + 1 + p.C_odd[c] + w_ + s1 + D[d] + t
-    for i in range(1, c + 1):
-        for j in _evens(2, 2 * p.w[i - 1]):
-            ev.append(StepEvent(7, EdgeAddress.l_odd(i, j), base7 + p.C_even[i - 1] + j // 2))
+    _long_odd_left_even_edges(ev, 7, p, k + 1 + p.C_odd[c] + w_ + s1 + D[d] + t)
 
     # Step 8: main core sweep.
-    base8 = k + 1 + p.C_all + w_ + D[d] + s1 + t
-    if s >= 2:
-        if s % 2 == 0:
-            for j in _odds(1, s):
-                ev.append(StepEvent(8, EdgeAddress.core(j), base8 + (s + 1 - j) // 2))
-        else:
-            for j in _evens(2, s):
-                ev.append(StepEvent(8, EdgeAddress.core(j), base8 + j // 2))
+    _core_sweep(ev, 8, p, k + 1 + p.C_all + w_ + D[d] + s1 + t)
 
     # Step 9: even edges of even left paths.
-    base9 = k + 1 + p.C_all + w_ + (s - ctx.s2) + D[d] + t
-    for i in range(1, d + 1):
-        for j in _evens(2, 2 * p.z[i - 1]):
-            ev.append(StepEvent(9, EdgeAddress.l_even(i, j), base9 + D[i - 1] + j // 2))
+    _even_left_even_edges(ev, 9, p, k + 1 + p.C_all + w_ + (p.s - p.s2) + D[d] + t)
 
     # Step 10: the deferred hub edge of the first long odd left path.
     if c >= 1:
-        ev.append(StepEvent(10, EdgeAddress.l_odd(1, 2 * p.w[0] + 1), p.m - ctx.s2))
+        ev.append(StepEvent(10, EdgeAddress.l_odd(1, 2 * p.w[0] + 1), p.m - p.s2))
 
     # Step 11: remaining core edges.
-    if s == 1 or s % 2 == 0:
-        ev.append(StepEvent(11, EdgeAddress.core(s), p.m))
-    else:
-        ev.append(StepEvent(11, EdgeAddress.core(1), p.m - 1))
-        ev.append(StepEvent(11, EdgeAddress.core(s), p.m))
+    _last_core(ev, 11, p)
     return ev
 
 
@@ -283,26 +327,14 @@ def odd_right_steps(p: Parameters) -> list[StepEvent]:
         ev.append(StepEvent(1, EdgeAddress.r_odd(a, j), p.A_odd[a - 1] + (j - 1) // 2))
 
     # Step 2: odd edges of long odd left paths; hub edges wait for Step 11.
-    for i in range(1, c + 1):
-        for j in _odds(1, 2 * p.w[i - 1]):
-            ev.append(StepEvent(2, EdgeAddress.l_odd(i, j),
-                                p.A_odd[a] - 1 + p.C_odd[i - 1] - (i - 1) + (j + 1) // 2))
+    _long_odd_left_odd_edges(ev, 2, p, p.A_odd[a] - 1)
 
     # Step 3: inner core edges.
     base3 = p.A_odd[a] - 1 + p.C_odd[c] - c
-    if s >= 4:
-        if s % 2 == 0:
-            for j in _evens(2, s - 2):
-                ev.append(StepEvent(3, EdgeAddress.core(j), base3 + (s - j) // 2))
-        else:
-            for j in _odds(3, s - 2):
-                ev.append(StepEvent(3, EdgeAddress.core(j), base3 + (j - 1) // 2))
+    _inner_core(ev, 3, p, base3)
 
     # Step 4: odd edges of even left paths.
-    for i in range(1, d + 1):
-        for j in _odds(1, 2 * p.z[i - 1]):
-            ev.append(StepEvent(4, EdgeAddress.l_even(i, j),
-                                base3 + s1 + p.D[i - 1] + (j + 1) // 2))
+    _even_left_odd_edges(ev, 4, p, base3 + s1)
 
     # Step 5: unit left paths; afterwards every pendant edge is labeled.
     base5 = base3 + s1 + p.D[d]
@@ -310,46 +342,25 @@ def odd_right_steps(p: Parameters) -> list[StepEvent]:
         ev.append(StepEvent(5, EdgeAddress.l_unit(i), base5 + i))
 
     # Step 6: even edges of odd right paths.
-    base6 = base5 + t
-    for i in range(1, a + 1):
-        for j in _evens(2, 2 * p.x[i - 1]):
-            ev.append(StepEvent(6, EdgeAddress.r_odd(i, j), base6 + p.A_even[i - 1] + j // 2))
+    _odd_right_even_edges(ev, 6, p, base5 + t)
 
     # Step 7: even edges of long odd left paths.
-    base7 = p.A_all - 1 + p.C_odd[c] - c + s1 + p.D[d] + t
-    for i in range(1, c + 1):
-        for j in _evens(2, 2 * p.w[i - 1]):
-            ev.append(StepEvent(7, EdgeAddress.l_odd(i, j), base7 + p.C_even[i - 1] + j // 2))
+    _long_odd_left_even_edges(ev, 7, p, p.A_all - 1 + p.C_odd[c] - c + s1 + p.D[d] + t)
 
     # Step 8: main core sweep.
-    base8 = p.A_all - 1 + p.C_all - c + s1 + p.D[d] + t
-    if s >= 2:
-        if s % 2 == 0:
-            for j in _odds(1, s):
-                ev.append(StepEvent(8, EdgeAddress.core(j), base8 + (s + 1 - j) // 2))
-        else:
-            for j in _evens(2, s):
-                ev.append(StepEvent(8, EdgeAddress.core(j), base8 + j // 2))
+    _core_sweep(ev, 8, p, p.A_all - 1 + p.C_all - c + s1 + p.D[d] + t)
 
     # Step 9: even edges of even left paths.
-    base9 = p.A_all - 1 + p.C_all - c + (s - s2) + p.D[d] + t
-    for i in range(1, d + 1):
-        for j in _evens(2, 2 * p.z[i - 1]):
-            ev.append(StepEvent(9, EdgeAddress.l_even(i, j), base9 + p.D[i - 1] + j // 2))
+    _even_left_even_edges(ev, 9, p, p.A_all - 1 + p.C_all - c + (s - s2) + p.D[d] + t)
 
     # Step 10: the deferred hub edge on the right, pushing phi(vr) up.
     ev.append(StepEvent(10, EdgeAddress.r_odd(a, 1), p.m - c - s2))
 
     # Step 11: the deferred hub edges on the left, pushing phi(vl) higher.
-    for i in range(1, c + 1):
-        ev.append(StepEvent(11, EdgeAddress.l_odd(i, 2 * p.w[i - 1] + 1), p.m - c - s2 + i))
+    _left_hub_edges(ev, 11, p, p.m - c - s2)
 
     # Step 12: remaining core edges.
-    if s == 1 or s % 2 == 0:
-        ev.append(StepEvent(12, EdgeAddress.core(s), p.m))
-    else:
-        ev.append(StepEvent(12, EdgeAddress.core(1), p.m - 1))
-        ev.append(StepEvent(12, EdgeAddress.core(s), p.m))
+    _last_core(ev, 12, p)
     return ev
 
 
@@ -386,19 +397,15 @@ class EvenCaseContext:
     alpha: int
     beta: int
     beta1: int
-    b2: int
-    s1: int
-    s2: int
 
     @classmethod
     def from_parameters(cls, p: Parameters) -> "EvenCaseContext":
         _check_even_right(p)
         alpha = max(0, (p.b - 1) - (p.c + p.d))
-        b2 = sum(1 for yi in p.y if yi == 1)
-        beta = min(alpha, b2)
+        beta = min(alpha, p.y.count(1))
         if alpha > 0:
             assert p.t > p.a + 1 + alpha > beta
-        return cls(alpha=alpha, beta=beta, beta1=max(0, beta - 1), b2=b2, s1=p.s1, s2=p.s2)
+        return cls(alpha=alpha, beta=beta, beta1=max(0, beta - 1))
 
 
 def _check_even_right(p: Parameters) -> None:
@@ -412,8 +419,8 @@ def needs_hub_gap_repair(p: Parameters) -> bool:
             and p.s % 2 == 0 and min(p.y) >= 2)
 
 
-def even_right_steps(p: Parameters, ctx: EvenCaseContext) -> list[StepEvent]:
-    _check_even_right(p)
+def even_right_steps(p: Parameters) -> list[StepEvent]:
+    ctx = EvenCaseContext.from_parameters(p)
     if needs_hub_gap_repair(p):
         return _hub_gap_repair_events(p, ctx)
     return _even_right_printed(p, ctx)
@@ -422,7 +429,7 @@ def even_right_steps(p: Parameters, ctx: EvenCaseContext) -> list[StepEvent]:
 def _even_right_printed(p: Parameters, ctx: EvenCaseContext) -> list[StepEvent]:
     a, b, c, d, t, s = p.a, p.b, p.c, p.d, p.t, p.s
     alpha, beta, beta1 = ctx.alpha, ctx.beta, ctx.beta1
-    s1, s2 = ctx.s1, ctx.s2
+    s1, s2 = p.s1, p.s2
     B, D = p.B, p.D
     y_b = p.y[b - 1]
     ev: list[StepEvent] = []
@@ -452,20 +459,11 @@ def _even_right_printed(p: Parameters, ctx: EvenCaseContext) -> list[StepEvent]:
 
     # Step 4: odd edges of long odd left paths; hub edges wait for Step 18.
     base4 = base3 + p.A_odd[a]
-    for i in range(1, c + 1):
-        for j in _odds(1, 2 * p.w[i - 1]):
-            ev.append(StepEvent(4, EdgeAddress.l_odd(i, j),
-                                base4 + p.C_odd[i - 1] - (i - 1) + (j + 1) // 2))
+    _long_odd_left_odd_edges(ev, 4, p, base4)
 
     # Step 5: inner core edges.
     base5 = base4 + p.C_odd[c] - c
-    if s >= 4:
-        if s % 2 == 0:
-            for j in _evens(2, s - 2):
-                ev.append(StepEvent(5, EdgeAddress.core(j), base5 + (s - j) // 2))
-        else:
-            for j in _odds(3, s - 2):
-                ev.append(StepEvent(5, EdgeAddress.core(j), base5 + (j - 1) // 2))
+    _inner_core(ev, 5, p, base5)
 
     # Step 6: even edges of the top even right path.
     for j in _evens(2, 2 * y_b):
@@ -473,9 +471,7 @@ def _even_right_printed(p: Parameters, ctx: EvenCaseContext) -> list[StepEvent]:
 
     # Step 7: odd edges of even left paths.
     base7 = beta1 + B[b] - (alpha - beta) + p.A_odd[a] + p.C_odd[c] - c + s1
-    for i in range(1, d + 1):
-        for j in _odds(1, 2 * p.z[i - 1]):
-            ev.append(StepEvent(7, EdgeAddress.l_even(i, j), base7 + D[i - 1] + (j + 1) // 2))
+    _even_left_odd_edges(ev, 7, p, base7)
 
     # Step 8: hub edges of the switched longer even right paths.
     if alpha > beta:
@@ -506,26 +502,15 @@ def _even_right_printed(p: Parameters, ctx: EvenCaseContext) -> list[StepEvent]:
                                 base10 + B[i - 1] - (alpha - beta) + (j + 1) // 2))
 
     # Step 12: even edges of odd right paths.
-    base12 = p.B_all - y_b - (alpha - beta) + p.A_odd[a] + p.C_odd[c] - c + s1 + D[d] + t
-    for i in range(1, a + 1):
-        for j in _evens(2, 2 * p.x[i - 1]):
-            ev.append(StepEvent(12, EdgeAddress.r_odd(i, j), base12 + p.A_even[i - 1] + j // 2))
+    _odd_right_even_edges(
+        ev, 12, p, p.B_all - y_b - (alpha - beta) + p.A_odd[a] + p.C_odd[c] - c + s1 + D[d] + t)
 
     # Step 13: even edges of long odd left paths.
-    base13 = p.B_all - y_b - (alpha - beta) + p.A_all + p.C_odd[c] - c + s1 + D[d] + t
-    for i in range(1, c + 1):
-        for j in _evens(2, 2 * p.w[i - 1]):
-            ev.append(StepEvent(13, EdgeAddress.l_odd(i, j), base13 + p.C_even[i - 1] + j // 2))
+    _long_odd_left_even_edges(
+        ev, 13, p, p.B_all - y_b - (alpha - beta) + p.A_all + p.C_odd[c] - c + s1 + D[d] + t)
 
     # Step 14: main core sweep.
-    base14 = p.B_all - y_b - (alpha - beta) + p.A_all + p.C_all - c + s1 + D[d] + t
-    if s >= 2:
-        if s % 2 == 0:
-            for j in _odds(1, s):
-                ev.append(StepEvent(14, EdgeAddress.core(j), base14 + (s + 1 - j) // 2))
-        else:
-            for j in _evens(2, s):
-                ev.append(StepEvent(14, EdgeAddress.core(j), base14 + j // 2))
+    _core_sweep(ev, 14, p, p.B_all - y_b - (alpha - beta) + p.A_all + p.C_all - c + s1 + D[d] + t)
 
     # Step 15: odd edges of the top even right path.
     base15 = p.B_all - y_b - (alpha - beta) + p.A_all + p.C_all - c + (s - s2) + D[d] + t
@@ -533,10 +518,8 @@ def _even_right_printed(p: Parameters, ctx: EvenCaseContext) -> list[StepEvent]:
         ev.append(StepEvent(15, EdgeAddress.r_even(b, j), base15 + (j + 1) // 2))
 
     # Step 16: even edges of even left paths.
-    base16 = p.B_all - (alpha - beta) + p.A_all + p.C_all - c + (s - s2) + D[d] + t
-    for i in range(1, d + 1):
-        for j in _evens(2, 2 * p.z[i - 1]):
-            ev.append(StepEvent(16, EdgeAddress.l_even(i, j), base16 + D[i - 1] + j // 2))
+    _even_left_even_edges(
+        ev, 16, p, p.B_all - (alpha - beta) + p.A_all + p.C_all - c + (s - s2) + D[d] + t)
 
     # Step 17: deferred pendant edges of the switched longer paths.
     base17 = p.B_all - (alpha - beta) + p.A_all + p.C_all - c + (s - s2) + p.D_all + t
@@ -545,16 +528,10 @@ def _even_right_printed(p: Parameters, ctx: EvenCaseContext) -> list[StepEvent]:
             ev.append(StepEvent(17, EdgeAddress.r_even(i, 2), base17 + (i - beta)))
 
     # Step 18: deferred hub edges of the long odd left paths.
-    base18 = p.B_all + p.A_all + p.C_all - c + (s - s2) + p.D_all + t
-    for i in range(1, c + 1):
-        ev.append(StepEvent(18, EdgeAddress.l_odd(i, 2 * p.w[i - 1] + 1), base18 + i))
+    _left_hub_edges(ev, 18, p, p.B_all + p.A_all + p.C_all - c + (s - s2) + p.D_all + t)
 
     # Step 19: remaining core edges.
-    if s == 1 or s % 2 == 0:
-        ev.append(StepEvent(19, EdgeAddress.core(s), p.m))
-    else:
-        ev.append(StepEvent(19, EdgeAddress.core(1), p.m - 1))
-        ev.append(StepEvent(19, EdgeAddress.core(s), p.m))
+    _last_core(ev, 19, p)
     return ev
 
 

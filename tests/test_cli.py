@@ -52,6 +52,17 @@ def test_label_unverified_construction_is_internal_bug(tmp_path, monkeypatch, ca
     assert err.rstrip().endswith("duplicate-sum: phi(vr)=41 (deg 3) vs phi(vl)=41 (deg 4)")
 
 
+def _one_write_error(err, path):
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"error: cannot write {path}: ")
+
+
+def test_label_out_into_missing_directory(tmp_path, special_spec, capsys):
+    out = tmp_path / "missing" / "special.lab"
+    assert main(["label", "--spec", str(special_spec), "--out", str(out)]) == 1
+    _one_write_error(capsys.readouterr().err, out)
+
+
 def test_verify_round_trip(tmp_path, special_spec):
     out = tmp_path / "special.lab"
     main(["label", "--spec", str(special_spec), "--out", str(out)])
@@ -123,6 +134,12 @@ def test_sweep_small(tmp_path, capsys):
     assert "instances = 4" in out and "failures = 0" in out
     text = report.read_text()
     assert text.count("result=pass") == 4
+
+
+def test_sweep_report_into_missing_directory(tmp_path, capsys):
+    report = tmp_path / "missing" / "sweep.txt"
+    assert main(["sweep", "--max-edges", "6", "--report", str(report)]) == 1
+    _one_write_error(capsys.readouterr().err, report)
 
 
 def test_sweep_single_instance(capsys):

@@ -20,9 +20,6 @@ from antimagic import (
     strongly_antimagic_label,
 )
 from antimagic.compose import (
-    DELETE_LEAF_LEVEL,
-    REMOVE_UNIT_LEFT,
-    REMOVE_UNIT_RIGHT,
     add_unit_path,
     extend_leaf_levels,
     grow_all_paths,
@@ -228,14 +225,14 @@ def test_reduction_stack_replays_to_original():
     cur = c
     for _ in range(2):
         cur = delete_leaf_level(cur)
-        stack.append(DELETE_LEAF_LEVEL)
+        stack.append("delete-leaf-level")
     cur = remove_unit_path(cur, "right")
-    stack.append(REMOVE_UNIT_RIGHT)
+    stack.append("remove-unit-right")
     # invert at the instance level, LIFO
     for step in reversed(stack):
-        if step is DELETE_LEAF_LEVEL:
+        if step == "delete-leaf-level":
             cur = grow_all_paths(cur)
-        elif step is REMOVE_UNIT_RIGHT:
+        elif step == "remove-unit-right":
             cur = add_unit_path(cur, "right")
         else:
             cur = add_unit_path(cur, "left")

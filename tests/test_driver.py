@@ -165,12 +165,45 @@ def test_sweep_materializes_and_verifies_once(spec, monkeypatch):
         assert len(derived) == 2
 
 
-def test_labelings_and_traces_are_pinned():
-    # one digest over the --out and --trace text of every instance with m <= 12
+def _labeling_digest(specs):
+    """sha256 over the --out and --trace text of each spec in turn."""
     digest = hashlib.sha256()
-    for c in enumerate_instances(12):
+    for spec in specs:
         trace = []
-        lt = strongly_antimagic_label(c, trace=trace)
+        lt = strongly_antimagic_label(spec, trace=trace)
         digest.update(format_labeling(lt.labeling).encode())
         digest.update(("\n".join(trace) + "\n").encode())
-    assert digest.hexdigest() == "27c5c73b5171626070cda8a6bf4a3da7fe52af7995705eed23f16bc1d4f43fa9"
+    return digest.hexdigest()
+
+
+def test_labelings_and_traces_are_pinned():
+    # every instance with m <= 12
+    digest = _labeling_digest(enumerate_instances(12))
+    assert digest == "27c5c73b5171626070cda8a6bf4a3da7fe52af7995705eed23f16bc1d4f43fa9"
+
+
+# One spec per long labeler and core parity with a long odd and an even left
+# path and s >= 4, so the inner-core, even-left and long-odd-left steps all run;
+# then larger odd-right and even-right members (c = d = 2, s = 6 or 7) and an
+# even-right one with switched right paths (alpha = 2, beta = 1).
+PINNED_LARGE_SPECS = [
+    DoubleSpiderSpec(4, (3, 4, 1, 1, 1), (1, 3)),                       # odd-right
+    DoubleSpiderSpec(5, (3, 4, 1, 1, 1), (1, 3)),
+    DoubleSpiderSpec(4, (3, 4, 1, 1, 1), (1, 2)),                       # even-right
+    DoubleSpiderSpec(5, (3, 4, 1, 1, 1), (1, 2)),
+    DoubleSpiderSpec(4, (3, 4, 1, 1), (1, 1)),                          # type (b)/(c), k odd
+    DoubleSpiderSpec(5, (3, 4, 1, 1), (1, 1)),
+    DoubleSpiderSpec(4, (3, 4), (2, 5)),                                # type (b)/(c), k even
+    DoubleSpiderSpec(5, (4, 5), (2, 7)),
+    DoubleSpiderSpec(6, (3, 5, 4, 6, 1, 1, 1, 1), (1, 3, 5)),
+    DoubleSpiderSpec(7, (3, 5, 4, 6, 1, 1, 1, 1, 1, 1), (2, 2, 4, 1)),
+    DoubleSpiderSpec(4, (3, 4, 1, 1, 1, 1, 1), (2, 4, 6, 4, 8, 1)),
+]
+
+
+def test_larger_labelings_and_traces_are_pinned():
+    # every instance with 13 <= m <= 14, then the specs above
+    instances = [c for c in enumerate_instances(14) if c.total_edges >= 13]
+    assert len(instances) == 1985
+    digest = _labeling_digest(instances + PINNED_LARGE_SPECS)
+    assert digest == "566ad9161438c2afbcaa46266fe08ee7a29e31ea6a1723691493a302a3ebf2e9"

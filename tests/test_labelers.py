@@ -121,7 +121,7 @@ def test_type_b_t_prime_consecutive():
 def test_type_bc_rejects_special_instance():
     p = derive_parameters(SPECIAL_INSTANCE)
     with pytest.raises(UnsupportedCase):
-        type_bc_steps(p, TypeBCContext.from_parameters(p))
+        type_bc_steps(p)
 
 
 def test_type_bc_even_k():
@@ -300,7 +300,7 @@ def _steps_for(p):
     if tag is CaseTag.UNEQUAL_ODD_RIGHT:
         return odd_right_steps(p)
     if tag is CaseTag.UNEQUAL_EVEN_RIGHT:
-        return even_right_steps(p, EvenCaseContext.from_parameters(p))
+        return even_right_steps(p)
     return None
 
 
@@ -336,8 +336,7 @@ def test_pendants_precede_later_steps():
         if tag is CaseTag.UNEQUAL_ODD_RIGHT:
             events, cutoff, allowed_late = odd_right_steps(p), 5, 0
         elif tag is CaseTag.UNEQUAL_EVEN_RIGHT:
-            events, cutoff, allowed_late = even_right_steps(
-                p, EvenCaseContext.from_parameters(p)), 10, 0
+            events, cutoff, allowed_late = even_right_steps(p), 10, 0
         else:
             continue
         early_max = max(ev.label for ev in events if ev.address in pend)
@@ -353,7 +352,7 @@ def test_type_bc_single_pendant_exception():
                               (1, [2, 1], [2, 1]), (3, [4, 1], [3, 1]),
                               (1, [2, 2], [5, 1]), (2, [3, 2], [4, 1])]:
         p = params(core, left, right)
-        events = type_bc_steps(p, TypeBCContext.from_parameters(p))
+        events = type_bc_steps(p)
         pend = set(pendant_addresses(p))
         late = [ev for ev in events if ev.address in pend and ev.step >= 6]
         assert len(late) <= 1
