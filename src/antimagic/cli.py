@@ -14,6 +14,8 @@ of the interface:
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 import time
 from pathlib import Path
@@ -50,6 +52,22 @@ def _write(path: str | None, text: str) -> None:
         raise fileio.FormatError(f"cannot write {path}: {exc}") from None
 
 
+def _check_writable(path: str | None) -> None:
+    """Raise the error _write would give for path, before anything is written."""
+    if path is None:
+        return
+    target = Path(path)
+    if target.is_dir():
+        code = errno.EISDIR
+    elif not target.parent.is_dir():
+        code = errno.ENOENT
+    elif not os.access(target if target.exists() else target.parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise fileio.FormatError(f"cannot write {path}: {OSError(code, os.strerror(code), path)}")
+
+
 def cmd_label(args: argparse.Namespace) -> int:
     spec = fileio.parse_instance(_read(args.spec))
     trace: list[str] | None = [] if args.trace else None
@@ -58,11 +76,16 @@ def cmd_label(args: argparse.Namespace) -> int:
     except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_BUG
-    _write(args.out, fileio.format_labeling(lt.labeling))
+    # all or nothing: every output is rendered and its path checked first
+    outputs = [(args.out, fileio.format_labeling(lt.labeling))]
     if args.dot:
-        _write(args.dot, fileio.export_dot(lt.spider, lt.labeling))
+        outputs.append((args.dot, fileio.export_dot(lt.spider, lt.labeling)))
     if args.trace:
-        _write(args.trace, "\n".join(trace) + "\n")
+        outputs.append((args.trace, "\n".join(trace) + "\n"))
+    for path, _ in outputs:
+        _check_writable(path)
+    for path, text in outputs:
+        _write(path, text)
     return EXIT_OK
 
 

@@ -1,7 +1,10 @@
 """Step-by-step constructive labelers for the four double spider cases.
 
 Each labeler walks a fixed sequence of steps, assigning 1..m to edge
-addresses; steps whose index ranges are empty are skipped.  The step events
+addresses; steps whose index ranges are empty are skipped.  Every step takes
+the next block of labels, those just above the earlier steps' labels, rising
+or falling in the order it emits its edges; only the even-right labeler's
+Step 1, which interleaves 2i - 1 and 2i, writes its labels out.  The step events
 are kept so callers can audit exactly which step placed which label.  Each
 labeler has one entry point, its ``*_steps`` function; the driver turns the
 events into a labeling and verifies it.
@@ -50,76 +53,79 @@ def _evens(lo: int, hi: int) -> range:
 
 
 # ---------------------------------------------------------------------------
-# Steps shared by the labelers: each appends its events from a base label;
-# the caller supplies the step number and the base of its own step list.
+# Steps shared by the labelers.  Each gives its edges the next block of
+# labels through _next_block, rising or falling in the order it emits them;
+# the caller supplies only the step number.
 # ---------------------------------------------------------------------------
 
 
-def _inner_core(ev: list[StepEvent], step: int, p: Parameters, base: int) -> None:
+def _next_block(ev: list[StepEvent], step: int, addresses: list[EdgeAddress],
+                falling: bool = False) -> None:
+    """Label the addresses with the len(addresses) labels after len(ev)."""
+    label, delta = len(ev), 1
+    if falling:
+        label, delta = label + len(addresses) + 1, -1
+    for addr in addresses:
+        label += delta
+        ev.append(StepEvent(step, addr, label))
+
+
+def _inner_core(ev: list[StepEvent], step: int, p: Parameters) -> None:
     """The core edges other than the three or four at its ends; none for s < 4."""
     s = p.s
     if s % 2 == 0:
-        for j in _evens(2, s - 2):
-            ev.append(StepEvent(step, EdgeAddress.core(j), base + (s - j) // 2))
+        _next_block(ev, step, [EdgeAddress.core(j) for j in _evens(2, s - 2)], falling=True)
     else:
-        for j in _odds(3, s - 2):
-            ev.append(StepEvent(step, EdgeAddress.core(j), base + (j - 1) // 2))
+        _next_block(ev, step, [EdgeAddress.core(j) for j in _odds(3, s - 2)])
 
 
-def _core_sweep(ev: list[StepEvent], step: int, p: Parameters, base: int) -> None:
+def _core_sweep(ev: list[StepEvent], step: int, p: Parameters) -> None:
     """Odd core edges from vr inwards (even s), or even ones outwards (odd s)."""
     s = p.s
     if s % 2 == 0:
-        for j in _odds(1, s):
-            ev.append(StepEvent(step, EdgeAddress.core(j), base + (s + 1 - j) // 2))
+        _next_block(ev, step, [EdgeAddress.core(j) for j in _odds(1, s)], falling=True)
     else:
-        for j in _evens(2, s):
-            ev.append(StepEvent(step, EdgeAddress.core(j), base + j // 2))
+        _next_block(ev, step, [EdgeAddress.core(j) for j in _evens(2, s)])
 
 
 def _last_core(ev: list[StepEvent], step: int, p: Parameters) -> None:
     """core/s gets m; an odd core with s >= 3 also gives core/1 m - 1."""
     s = p.s
     if s % 2 == 1 and s > 1:
-        ev.append(StepEvent(step, EdgeAddress.core(1), p.m - 1))
-    ev.append(StepEvent(step, EdgeAddress.core(s), p.m))
+        _next_block(ev, step, [EdgeAddress.core(1), EdgeAddress.core(s)])
+    else:
+        _next_block(ev, step, [EdgeAddress.core(s)])
 
 
-def _even_left_odd_edges(ev: list[StepEvent], step: int, p: Parameters, base: int) -> None:
-    for i in range(1, p.d + 1):
-        for j in _odds(1, 2 * p.z[i - 1]):
-            ev.append(StepEvent(step, EdgeAddress.l_even(i, j), base + p.D[i - 1] + (j + 1) // 2))
+def _even_left_odd_edges(ev: list[StepEvent], step: int, p: Parameters) -> None:
+    _next_block(ev, step, [EdgeAddress.l_even(i, j) for i in range(1, p.d + 1)
+                           for j in _odds(1, 2 * p.z[i - 1])])
 
 
-def _even_left_even_edges(ev: list[StepEvent], step: int, p: Parameters, base: int) -> None:
-    for i in range(1, p.d + 1):
-        for j in _evens(2, 2 * p.z[i - 1]):
-            ev.append(StepEvent(step, EdgeAddress.l_even(i, j), base + p.D[i - 1] + j // 2))
+def _even_left_even_edges(ev: list[StepEvent], step: int, p: Parameters) -> None:
+    _next_block(ev, step, [EdgeAddress.l_even(i, j) for i in range(1, p.d + 1)
+                           for j in _evens(2, 2 * p.z[i - 1])])
 
 
-def _long_odd_left_odd_edges(ev: list[StepEvent], step: int, p: Parameters, base: int) -> None:
+def _long_odd_left_odd_edges(ev: list[StepEvent], step: int, p: Parameters) -> None:
     """Odd edges of the long odd left paths but their hub edges, which wait."""
-    for i in range(1, p.c + 1):
-        for j in _odds(1, 2 * p.w[i - 1]):
-            ev.append(StepEvent(step, EdgeAddress.l_odd(i, j), base + p.C_even[i - 1] + (j + 1) // 2))
+    _next_block(ev, step, [EdgeAddress.l_odd(i, j) for i in range(1, p.c + 1)
+                           for j in _odds(1, 2 * p.w[i - 1])])
 
 
-def _long_odd_left_even_edges(ev: list[StepEvent], step: int, p: Parameters, base: int) -> None:
-    for i in range(1, p.c + 1):
-        for j in _evens(2, 2 * p.w[i - 1]):
-            ev.append(StepEvent(step, EdgeAddress.l_odd(i, j), base + p.C_even[i - 1] + j // 2))
+def _long_odd_left_even_edges(ev: list[StepEvent], step: int, p: Parameters) -> None:
+    _next_block(ev, step, [EdgeAddress.l_odd(i, j) for i in range(1, p.c + 1)
+                           for j in _evens(2, 2 * p.w[i - 1])])
 
 
-def _left_hub_edges(ev: list[StepEvent], step: int, p: Parameters, base: int) -> None:
-    """The deferred hub edges of the long odd left paths get base + 1, base + 2, ..."""
-    for i in range(1, p.c + 1):
-        ev.append(StepEvent(step, EdgeAddress.l_odd(i, 2 * p.w[i - 1] + 1), base + i))
+def _left_hub_edges(ev: list[StepEvent], step: int, p: Parameters) -> None:
+    """The deferred hub edges of the long odd left paths, in path order."""
+    _next_block(ev, step, [EdgeAddress.l_odd(i, 2 * p.w[i - 1] + 1) for i in range(1, p.c + 1)])
 
 
-def _odd_right_even_edges(ev: list[StepEvent], step: int, p: Parameters, base: int) -> None:
-    for i in range(1, p.a + 1):
-        for j in _evens(2, 2 * p.x[i - 1]):
-            ev.append(StepEvent(step, EdgeAddress.r_odd(i, j), base + p.A_even[i - 1] + j // 2))
+def _odd_right_even_edges(ev: list[StepEvent], step: int, p: Parameters) -> None:
+    _next_block(ev, step, [EdgeAddress.r_odd(i, j) for i in range(1, p.a + 1)
+                           for j in _evens(2, 2 * p.x[i - 1])])
 
 
 # ---------------------------------------------------------------------------
@@ -141,27 +147,14 @@ def type_a_steps(p: Parameters) -> list[StepEvent]:
     """Closed-form labeling for the two-units-per-side case."""
     _check_type_a(p)
     s = p.s
+    odd = s % 2 == 1
+    right = [EdgeAddress.r_odd(1, 1), EdgeAddress.r_odd(2, 1)]
+    left = [EdgeAddress.l_unit(1), EdgeAddress.l_unit(2)]
     ev: list[StepEvent] = []
-    if s % 2 == 1:
-        half = (s - 1) // 2
-        for j in _evens(2, s):
-            ev.append(StepEvent(1, EdgeAddress.core(j), (s + 1 - j) // 2))
-        ev.append(StepEvent(2, EdgeAddress.r_odd(1, 1), half + 1))
-        ev.append(StepEvent(2, EdgeAddress.r_odd(2, 1), half + 2))
-        ev.append(StepEvent(3, EdgeAddress.l_unit(1), half + 3))
-        ev.append(StepEvent(3, EdgeAddress.l_unit(2), half + 4))
-        for j in _odds(1, s):
-            ev.append(StepEvent(4, EdgeAddress.core(j), half + 4 + (s + 2 - j) // 2))
-    else:
-        half = s // 2
-        for j in _evens(2, s):
-            ev.append(StepEvent(1, EdgeAddress.core(j), j // 2))
-        ev.append(StepEvent(2, EdgeAddress.l_unit(1), half + 1))
-        ev.append(StepEvent(2, EdgeAddress.l_unit(2), half + 2))
-        ev.append(StepEvent(3, EdgeAddress.r_odd(1, 1), half + 3))
-        ev.append(StepEvent(3, EdgeAddress.r_odd(2, 1), half + 4))
-        for j in _odds(1, s):
-            ev.append(StepEvent(4, EdgeAddress.core(j), half + 4 + (j + 1) // 2))
+    _next_block(ev, 1, [EdgeAddress.core(j) for j in _evens(2, s)], falling=odd)
+    _next_block(ev, 2, right if odd else left)
+    _next_block(ev, 3, left if odd else right)
+    _next_block(ev, 4, [EdgeAddress.core(j) for j in _odds(1, s)], falling=odd)
     return ev
 
 
@@ -175,12 +168,11 @@ class TypeBCContext:
     """Bookkeeping for the eleven-step labeler.
 
     k is the length of the non-designated right path; t_prime switches the
-    Step-5 ordering; w_prime is -1 exactly when a long odd left path exists.
+    Step-5 ordering.
     """
 
     k: int
     t_prime: int
-    w_prime: int
 
     @classmethod
     def from_parameters(cls, p: Parameters) -> "TypeBCContext":
@@ -192,11 +184,10 @@ class TypeBCContext:
         t_prime = 1 if (p.t == 1 and p.d == 1) or (
             p.t == 1 and p.s == 2 and p.c == 1 and p.w and p.w[0] == 1 and k >= 2
         ) else 0
-        w_prime = -1 if p.c >= 1 else 0
-        ctx = cls(k=k, t_prime=t_prime, w_prime=w_prime)
-        assert k // 2 + p.c + w_prime + p.D[p.d] + p.t >= 1
+        ctx = cls(k=k, t_prime=t_prime)
+        assert k // 2 + p.c + (-1 if p.c >= 1 else 0) + sum(p.z) + p.t >= 1
         if t_prime == 1:
-            assert k // 2 + p.D[p.d] >= 1
+            assert k // 2 + sum(p.z) >= 1
         return ctx
 
 
@@ -217,9 +208,7 @@ def _check_type_bc(p: Parameters, ctx: TypeBCContext) -> None:
 def type_bc_steps(p: Parameters) -> list[StepEvent]:
     ctx = TypeBCContext.from_parameters(p)
     _check_type_bc(p, ctx)
-    k, w_, s1 = ctx.k, ctx.w_prime, p.s1
-    c, d, t = p.c, p.d, p.t
-    D = p.D
+    k, c = ctx.k, p.c
 
     def pk(j: int) -> EdgeAddress:
         return EdgeAddress.r_odd(2, j) if k % 2 == 1 else EdgeAddress.r_even(1, j)
@@ -227,51 +216,39 @@ def type_bc_steps(p: Parameters) -> list[StepEvent]:
     ev: list[StepEvent] = []
 
     # Step 1: even edges of Pk.
-    for j in _evens(2, k):
-        ev.append(StepEvent(1, pk(j), (k + 2 - j) // 2))
+    _next_block(ev, 1, [pk(j) for j in _evens(2, k)], falling=True)
 
     # Step 2: odd edges of long odd left paths; the first path's hub edge waits.
-    if c >= 1:
-        for j in _odds(1, 2 * p.w[0] - 1):
-            ev.append(StepEvent(2, EdgeAddress.l_odd(1, j), k // 2 + (j + 1) // 2))
-        for i in range(2, c + 1):
-            for j in _odds(1, 2 * p.w[i - 1] + 1):
-                ev.append(StepEvent(2, EdgeAddress.l_odd(i, j),
-                                    k // 2 + p.C_odd[i - 1] - 1 + (j + 1) // 2))
+    _next_block(ev, 2, [EdgeAddress.l_odd(i, j) for i in range(1, c + 1)
+                        for j in _odds(1, 2 * p.w[i - 1] + (1 if i > 1 else -1))])
 
     # Step 3: inner core edges.
-    base3 = k // 2 + p.C_odd[c] + w_
-    _inner_core(ev, 3, p, base3)
+    _inner_core(ev, 3, p)
 
     # Step 4: odd edges of even left paths.
-    _even_left_odd_edges(ev, 4, p, base3 + s1)
+    _even_left_odd_edges(ev, 4, p)
 
     # Step 5: the right unit edge and the left unit edge, order set by t'.
-    base5 = base3 + s1 + D[d]
     if ctx.t_prime == 1:
-        ev.append(StepEvent(5, EdgeAddress.r_odd(1, 1), base5 + 1))
-        ev.append(StepEvent(5, EdgeAddress.l_unit(1), base5 + 2))
+        _next_block(ev, 5, [EdgeAddress.r_odd(1, 1), EdgeAddress.l_unit(1)])
     else:
-        if t == 1:
-            ev.append(StepEvent(5, EdgeAddress.l_unit(1), base5 + t))
-        ev.append(StepEvent(5, EdgeAddress.r_odd(1, 1), base5 + t + 1))
+        _next_block(ev, 5, [EdgeAddress.l_unit(1)] * p.t + [EdgeAddress.r_odd(1, 1)])
 
     # Step 6: odd edges of Pk.
-    for j in _odds(1, k):
-        ev.append(StepEvent(6, pk(j), base5 + 1 + t + (k + 2 - j) // 2))
+    _next_block(ev, 6, [pk(j) for j in _odds(1, k)], falling=True)
 
     # Step 7: even edges of long odd left paths.
-    _long_odd_left_even_edges(ev, 7, p, k + 1 + p.C_odd[c] + w_ + s1 + D[d] + t)
+    _long_odd_left_even_edges(ev, 7, p)
 
     # Step 8: main core sweep.
-    _core_sweep(ev, 8, p, k + 1 + p.C_all + w_ + D[d] + s1 + t)
+    _core_sweep(ev, 8, p)
 
     # Step 9: even edges of even left paths.
-    _even_left_even_edges(ev, 9, p, k + 1 + p.C_all + w_ + (p.s - p.s2) + D[d] + t)
+    _even_left_even_edges(ev, 9, p)
 
     # Step 10: the deferred hub edge of the first long odd left path.
     if c >= 1:
-        ev.append(StepEvent(10, EdgeAddress.l_odd(1, 2 * p.w[0] + 1), p.m - p.s2))
+        _next_block(ev, 10, [EdgeAddress.l_odd(1, 2 * p.w[0] + 1)])
 
     # Step 11: remaining core edges.
     _last_core(ev, 11, p)
@@ -315,49 +292,43 @@ def _check_odd_right(p: Parameters) -> None:
 
 def odd_right_steps(p: Parameters) -> list[StepEvent]:
     _check_odd_right(p)
-    a, c, d, t, s = p.a, p.c, p.d, p.t, p.s
-    s1, s2 = p.s1, p.s2
+    a = p.a
     ev: list[StepEvent] = []
 
     # Step 1: odd edges of odd right paths; the top path's hub edge waits.
-    for i in range(1, a):
-        for j in _odds(1, 2 * p.x[i - 1] + 1):
-            ev.append(StepEvent(1, EdgeAddress.r_odd(i, j), p.A_odd[i - 1] + (j + 1) // 2))
-    for j in _odds(2, 2 * p.x[a - 1] + 1):
-        ev.append(StepEvent(1, EdgeAddress.r_odd(a, j), p.A_odd[a - 1] + (j - 1) // 2))
+    _next_block(ev, 1, [EdgeAddress.r_odd(i, j) for i in range(1, a)
+                        for j in _odds(1, 2 * p.x[i - 1] + 1)]
+                + [EdgeAddress.r_odd(a, j) for j in _odds(3, 2 * p.x[a - 1] + 1)])
 
     # Step 2: odd edges of long odd left paths; hub edges wait for Step 11.
-    _long_odd_left_odd_edges(ev, 2, p, p.A_odd[a] - 1)
+    _long_odd_left_odd_edges(ev, 2, p)
 
     # Step 3: inner core edges.
-    base3 = p.A_odd[a] - 1 + p.C_odd[c] - c
-    _inner_core(ev, 3, p, base3)
+    _inner_core(ev, 3, p)
 
     # Step 4: odd edges of even left paths.
-    _even_left_odd_edges(ev, 4, p, base3 + s1)
+    _even_left_odd_edges(ev, 4, p)
 
     # Step 5: unit left paths; afterwards every pendant edge is labeled.
-    base5 = base3 + s1 + p.D[d]
-    for i in range(1, t + 1):
-        ev.append(StepEvent(5, EdgeAddress.l_unit(i), base5 + i))
+    _next_block(ev, 5, [EdgeAddress.l_unit(i) for i in range(1, p.t + 1)])
 
     # Step 6: even edges of odd right paths.
-    _odd_right_even_edges(ev, 6, p, base5 + t)
+    _odd_right_even_edges(ev, 6, p)
 
     # Step 7: even edges of long odd left paths.
-    _long_odd_left_even_edges(ev, 7, p, p.A_all - 1 + p.C_odd[c] - c + s1 + p.D[d] + t)
+    _long_odd_left_even_edges(ev, 7, p)
 
     # Step 8: main core sweep.
-    _core_sweep(ev, 8, p, p.A_all - 1 + p.C_all - c + s1 + p.D[d] + t)
+    _core_sweep(ev, 8, p)
 
     # Step 9: even edges of even left paths.
-    _even_left_even_edges(ev, 9, p, p.A_all - 1 + p.C_all - c + (s - s2) + p.D[d] + t)
+    _even_left_even_edges(ev, 9, p)
 
     # Step 10: the deferred hub edge on the right, pushing phi(vr) up.
-    ev.append(StepEvent(10, EdgeAddress.r_odd(a, 1), p.m - c - s2))
+    _next_block(ev, 10, [EdgeAddress.r_odd(a, 1)])
 
     # Step 11: the deferred hub edges on the left, pushing phi(vl) higher.
-    _left_hub_edges(ev, 11, p, p.m - c - s2)
+    _left_hub_edges(ev, 11, p)
 
     # Step 12: remaining core edges.
     _last_core(ev, 12, p)
@@ -396,7 +367,6 @@ class EvenCaseContext:
 
     alpha: int
     beta: int
-    beta1: int
 
     @classmethod
     def from_parameters(cls, p: Parameters) -> "EvenCaseContext":
@@ -405,7 +375,7 @@ class EvenCaseContext:
         beta = min(alpha, p.y.count(1))
         if alpha > 0:
             assert p.t > p.a + 1 + alpha > beta
-        return cls(alpha=alpha, beta=beta, beta1=max(0, beta - 1))
+        return cls(alpha=alpha, beta=beta)
 
 
 def _check_even_right(p: Parameters) -> None:
@@ -427,10 +397,10 @@ def even_right_steps(p: Parameters) -> list[StepEvent]:
 
 
 def _even_right_printed(p: Parameters, ctx: EvenCaseContext) -> list[StepEvent]:
-    a, b, c, d, t, s = p.a, p.b, p.c, p.d, p.t, p.s
-    alpha, beta, beta1 = ctx.alpha, ctx.beta, ctx.beta1
-    s1, s2 = p.s1, p.s2
-    B, D = p.B, p.D
+    a, b, t = p.a, p.b, p.t
+    alpha, beta = ctx.alpha, ctx.beta
+    switched = range(beta + 1, alpha + 1)
+    unswitched = range(alpha + 1, b)
     y_b = p.y[b - 1]
     ev: list[StepEvent] = []
 
@@ -441,94 +411,64 @@ def _even_right_printed(p: Parameters, ctx: EvenCaseContext) -> list[StepEvent]:
         ev.append(StepEvent(1, EdgeAddress.l_unit(i), 2 * i))
 
     # Step 2: even edges of the remaining non-top even right paths.
-    if alpha > beta:
-        for i in range(beta + 1, alpha + 1):
-            for j in _evens(4, 2 * p.y[i - 1]):
-                ev.append(StepEvent(2, EdgeAddress.r_even(i, j),
-                                    beta1 + B[i - 1] - (i - (beta + 1)) + (j - 2) // 2))
-    for i in range(alpha + 1, b):
-        for j in _evens(2, 2 * p.y[i - 1]):
-            ev.append(StepEvent(2, EdgeAddress.r_even(i, j),
-                                beta1 + B[i - 1] - (alpha - beta) + j // 2))
+    _next_block(ev, 2, [EdgeAddress.r_even(i, j) for i in switched
+                        for j in _evens(4, 2 * p.y[i - 1])]
+                + [EdgeAddress.r_even(i, j) for i in unswitched
+                   for j in _evens(2, 2 * p.y[i - 1])])
 
     # Step 3: odd edges of odd right paths.
-    base3 = beta1 + B[b - 1] - (alpha - beta)
-    for i in range(1, a + 1):
-        for j in _odds(1, 2 * p.x[i - 1] + 1):
-            ev.append(StepEvent(3, EdgeAddress.r_odd(i, j), base3 + p.A_odd[i - 1] + (j + 1) // 2))
+    _next_block(ev, 3, [EdgeAddress.r_odd(i, j) for i in range(1, a + 1)
+                        for j in _odds(1, 2 * p.x[i - 1] + 1)])
 
     # Step 4: odd edges of long odd left paths; hub edges wait for Step 18.
-    base4 = base3 + p.A_odd[a]
-    _long_odd_left_odd_edges(ev, 4, p, base4)
+    _long_odd_left_odd_edges(ev, 4, p)
 
     # Step 5: inner core edges.
-    base5 = base4 + p.C_odd[c] - c
-    _inner_core(ev, 5, p, base5)
+    _inner_core(ev, 5, p)
 
     # Step 6: even edges of the top even right path.
-    for j in _evens(2, 2 * y_b):
-        ev.append(StepEvent(6, EdgeAddress.r_even(b, j), base5 + s1 + j // 2))
+    _next_block(ev, 6, [EdgeAddress.r_even(b, j) for j in _evens(2, 2 * y_b)])
 
     # Step 7: odd edges of even left paths.
-    base7 = beta1 + B[b] - (alpha - beta) + p.A_odd[a] + p.C_odd[c] - c + s1
-    _even_left_odd_edges(ev, 7, p, base7)
+    _even_left_odd_edges(ev, 7, p)
 
     # Step 8: hub edges of the switched longer even right paths.
-    if alpha > beta:
-        for i in range(beta + 1, alpha + 1):
-            ev.append(StepEvent(8, EdgeAddress.r_even(i, 1), base7 + D[d] + (i - beta)))
+    _next_block(ev, 8, [EdgeAddress.r_even(i, 1) for i in switched])
 
     # Step 9: the remaining unit left paths.  The printed rule starts at
     # i = beta, which leaves the units unplaced when beta = 0; starting at
-    # max(1, beta) keeps the same formula and restores bijectivity.
-    base9 = beta1 + B[b] + p.A_odd[a] + p.C_odd[c] - c + s1 + D[d]
-    for i in range(max(1, beta), t + 1):
-        ev.append(StepEvent(9, EdgeAddress.l_unit(i), base9 + (i - beta1)))
+    # max(1, beta) restores bijectivity.
+    _next_block(ev, 9, [EdgeAddress.l_unit(i) for i in range(max(1, beta), t + 1)])
 
     # Step 10: pendant edges of the switched length-2 paths.
-    base10 = B[b] + p.A_odd[a] + p.C_odd[c] - c + s1 + D[d] + t
-    for i in range(1, beta + 1):
-        ev.append(StepEvent(10, EdgeAddress.r_even(i, 2), base10 + (beta + 1 - i)))
+    _next_block(ev, 10, [EdgeAddress.r_even(i, 2) for i in range(1, beta + 1)], falling=True)
 
     # Step 11: odd edges of the switched longer paths, then of the unswitched.
-    if alpha > beta:
-        for i in range(beta + 1, alpha + 1):
-            for j in _odds(3, 2 * p.y[i - 1]):
-                ev.append(StepEvent(11, EdgeAddress.r_even(i, j),
-                                    base10 + B[i - 1] - (i - (beta + 1)) + (j - 1) // 2))
-    for i in range(alpha + 1, b):
-        for j in _odds(1, 2 * p.y[i - 1]):
-            ev.append(StepEvent(11, EdgeAddress.r_even(i, j),
-                                base10 + B[i - 1] - (alpha - beta) + (j + 1) // 2))
+    _next_block(ev, 11, [EdgeAddress.r_even(i, j) for i in switched
+                         for j in _odds(3, 2 * p.y[i - 1])]
+                + [EdgeAddress.r_even(i, j) for i in unswitched
+                   for j in _odds(1, 2 * p.y[i - 1])])
 
     # Step 12: even edges of odd right paths.
-    _odd_right_even_edges(
-        ev, 12, p, p.B_all - y_b - (alpha - beta) + p.A_odd[a] + p.C_odd[c] - c + s1 + D[d] + t)
+    _odd_right_even_edges(ev, 12, p)
 
     # Step 13: even edges of long odd left paths.
-    _long_odd_left_even_edges(
-        ev, 13, p, p.B_all - y_b - (alpha - beta) + p.A_all + p.C_odd[c] - c + s1 + D[d] + t)
+    _long_odd_left_even_edges(ev, 13, p)
 
     # Step 14: main core sweep.
-    _core_sweep(ev, 14, p, p.B_all - y_b - (alpha - beta) + p.A_all + p.C_all - c + s1 + D[d] + t)
+    _core_sweep(ev, 14, p)
 
     # Step 15: odd edges of the top even right path.
-    base15 = p.B_all - y_b - (alpha - beta) + p.A_all + p.C_all - c + (s - s2) + D[d] + t
-    for j in _odds(1, 2 * y_b):
-        ev.append(StepEvent(15, EdgeAddress.r_even(b, j), base15 + (j + 1) // 2))
+    _next_block(ev, 15, [EdgeAddress.r_even(b, j) for j in _odds(1, 2 * y_b)])
 
     # Step 16: even edges of even left paths.
-    _even_left_even_edges(
-        ev, 16, p, p.B_all - (alpha - beta) + p.A_all + p.C_all - c + (s - s2) + D[d] + t)
+    _even_left_even_edges(ev, 16, p)
 
     # Step 17: deferred pendant edges of the switched longer paths.
-    base17 = p.B_all - (alpha - beta) + p.A_all + p.C_all - c + (s - s2) + p.D_all + t
-    if alpha > beta:
-        for i in range(beta + 1, alpha + 1):
-            ev.append(StepEvent(17, EdgeAddress.r_even(i, 2), base17 + (i - beta)))
+    _next_block(ev, 17, [EdgeAddress.r_even(i, 2) for i in switched])
 
     # Step 18: deferred hub edges of the long odd left paths.
-    _left_hub_edges(ev, 18, p, p.B_all + p.A_all + p.C_all - c + (s - s2) + p.D_all + t)
+    _left_hub_edges(ev, 18, p)
 
     # Step 19: remaining core edges.
     _last_core(ev, 19, p)

@@ -63,6 +63,26 @@ def test_label_out_into_missing_directory(tmp_path, special_spec, capsys):
     _one_write_error(capsys.readouterr().err, out)
 
 
+def test_label_unwritable_dot_writes_nothing(tmp_path, special_spec, capsys):
+    out = tmp_path / "ok.lab"
+    dot = tmp_path / "missing" / "x.dot"
+    args = ["label", "--spec", str(special_spec), "--out", str(out), "--dot", str(dot)]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    _one_write_error(captured.err, dot)
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [special_spec]
+
+
+def test_label_unwritable_trace_prints_nothing(tmp_path, special_spec, capsys):
+    trace = tmp_path / "missing" / "x.tr"
+    assert main(["label", "--spec", str(special_spec), "--trace", str(trace)]) == 1
+    captured = capsys.readouterr()
+    _one_write_error(captured.err, trace)
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [special_spec]
+
+
 def test_verify_round_trip(tmp_path, special_spec):
     out = tmp_path / "special.lab"
     main(["label", "--spec", str(special_spec), "--out", str(out)])

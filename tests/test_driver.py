@@ -207,3 +207,22 @@ def test_larger_labelings_and_traces_are_pinned():
     assert len(instances) == 1985
     digest = _labeling_digest(instances + PINNED_LARGE_SPECS)
     assert digest == "566ad9161438c2afbcaa46266fe08ee7a29e31ea6a1723691493a302a3ebf2e9"
+
+
+# One large spec per case route, the hub-gap family as its own route.
+ROUTE_LARGE_SPECS = [
+    (DoubleSpiderSpec(7, (1, 1, 1, 1, 1, 4001, 4002), (3, 4001)), CaseTag.UNEQUAL_ODD_RIGHT),
+    (DoubleSpiderSpec(6, (1, 1, 1, 1, 1, 4001, 4002), (4, 4000)), CaseTag.UNEQUAL_EVEN_RIGHT),
+    (DoubleSpiderSpec(40, (1, 1, 1), (4000, 6000)), CaseTag.UNEQUAL_EVEN_RIGHT),
+    (DoubleSpiderSpec(9, (2000, 2001), (2000, 3000)), CaseTag.EQUAL_DEG3),
+    (DoubleSpiderSpec(3, (500, 501, 502, 503), (500, 600, 700, 800)), CaseTag.EQUAL_DEG_HIGH),
+    (DoubleSpiderSpec(5, (1,) * 3000 + (9,), (1,) * 2000), CaseTag.UNEQUAL_ALL_UNIT_RIGHT),
+]
+
+
+def test_large_route_labelings_and_traces_are_pinned():
+    # m = 12019, 12018, 10043, 9010, 4609 and 5014
+    for spec, tag in ROUTE_LARGE_SPECS:
+        assert classify(derive_parameters(canonicalize(spec))) is tag
+    digest = _labeling_digest(spec for spec, _ in ROUTE_LARGE_SPECS)
+    assert digest == "1a94bd0514d1e3dcacb81098c9be98ac004e0b9e4cd8d7ec16563ae7d5b103f1"

@@ -1,5 +1,7 @@
 """The case-by-case step labelers and their internal anchors."""
 
+from itertools import groupby
+
 import pytest
 
 from antimagic import (
@@ -24,6 +26,7 @@ from antimagic.labelers import (
     type_a_steps,
     type_bc_steps,
 )
+from antimagic import driver, labelers
 from antimagic.labelers import SPECIAL_INSTANCE
 from antimagic.spiders import pendant_addresses
 
@@ -177,6 +180,43 @@ def test_odd_right_pendant_prefix_claim():
         assert sorted(early) == list(range(1, bound + 1))
         pend = {ev.label for ev in events if ev.address in set(pendant_addresses(p))}
         assert max(pend) <= bound
+
+
+def test_every_step_takes_the_next_block(monkeypatch):
+    # every labeler call the driver makes for m <= 14, residues and the
+    # special instance included: each step's labels are the next block after
+    # the earlier steps', in rising or falling emission order; only the
+    # even-right Step 1 interleaves its block
+    calls, even_right = [], set()
+    from_steps = driver._from_steps
+
+    def recording(p, events, trace):
+        calls.append(events)
+        return from_steps(p, events, trace)
+
+    def even_right_steps(p):
+        events = labelers.even_right_steps(p)
+        even_right.add(id(events))
+        return events
+
+    monkeypatch.setattr(driver, "_from_steps", recording)
+    monkeypatch.setattr(driver, "even_right_steps", even_right_steps)
+    instances = list(enumerate_instances(14))
+    for c in instances:
+        strongly_antimagic_label(c)
+    assert len(calls) == len(instances) and len(even_right) > 0
+    special = labelers.SPECIAL_INSTANCE_ASSIGNMENT
+    assert any({ev.address: ev.label for ev in events} == special for events in calls)
+    for events in calls:
+        done, steps = 0, []
+        for step, group in groupby(events, key=lambda ev: ev.step):
+            labels = [ev.label for ev in group]
+            assert sorted(labels) == list(range(done + 1, done + len(labels) + 1)), events
+            if not (step == 1 and id(events) in even_right):
+                assert labels in (sorted(labels), sorted(labels, reverse=True)), events
+            done += len(labels)
+            steps.append(step)
+        assert steps == sorted(set(steps))
 
 
 def test_odd_right_hub_anchor():
