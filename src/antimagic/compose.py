@@ -45,6 +45,7 @@ class ConstructionBug(RuntimeError):
 
 def delete_leaf_level(c: CanonicalDoubleSpider, levels: int = 1) -> CanonicalDoubleSpider:
     """Drop the leaves `levels` times, shortening each pendant path by that much."""
+    _check_count(levels)
     if min(min(c.left_lengths), min(c.right_lengths)) <= levels:
         raise InvalidSpider("cannot delete the leaf level: a unit path would vanish")
     return CanonicalDoubleSpider(
@@ -59,8 +60,14 @@ def _check_side(side: str) -> None:
         raise ValueError("side must be 'left' or 'right'")
 
 
+def _check_count(count: int) -> None:
+    if count < 0:
+        raise ValueError("a move count must be >= 0")
+
+
 def remove_unit_path(c: CanonicalDoubleSpider, side: str, count: int = 1) -> CanonicalDoubleSpider:
     _check_side(side)
+    _check_count(count)
     lengths = c.left_lengths if side == "left" else c.right_lengths
     if lengths[:count].count(1) < count:
         raise InvalidSpider(f"not enough unit paths on the {side} side")
@@ -72,6 +79,7 @@ def remove_unit_path(c: CanonicalDoubleSpider, side: str, count: int = 1) -> Can
 
 def grow_all_paths(c: CanonicalDoubleSpider, levels: int = 1) -> CanonicalDoubleSpider:
     """Inverse of delete_leaf_level at the instance level."""
+    _check_count(levels)
     return CanonicalDoubleSpider(
         c.core_length,
         (l + levels for l in c.left_lengths),
@@ -81,6 +89,7 @@ def grow_all_paths(c: CanonicalDoubleSpider, levels: int = 1) -> CanonicalDouble
 
 def add_unit_path(c: CanonicalDoubleSpider, side: str, count: int = 1) -> CanonicalDoubleSpider:
     _check_side(side)
+    _check_count(count)
     units = (1,) * count
     if side == "left":
         return CanonicalDoubleSpider(c.core_length, c.left_lengths + units, c.right_lengths)
@@ -109,6 +118,7 @@ def extend_leaf_levels(
     level-q new edge (q = 1 next to the old leaf) on the path whose old
     pendant label ranks r gets r + n*(k - q).
     """
+    _check_count(k)
     grown = grow_all_paths(c, k)
     old = labeling.assignment
     n = len(c.left_lengths) + len(c.right_lengths)
@@ -137,6 +147,7 @@ def insert_unit_paths(
     longer odd paths move k indices up.
     """
     _check_side(side)
+    _check_count(k)
     old = labeling.assignment
     if side == "left":
         t = c.left_lengths.count(1)

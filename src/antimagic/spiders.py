@@ -3,7 +3,7 @@
 A double spider is a tree with exactly two vertices of degree >= 3 (the hubs
 vl and vr), joined by a core path of length s, with a multiset of pendant
 paths hanging off each hub.  This module owns validation, the canonical
-orientation, the derived counting parameters, edge addressing, the
+orientation, the parity split of each side (Parameters), edge addressing, the
 pendant-path layout (defined once, in pendant_paths), tree materialization,
 case classification, and exhaustive enumeration by edge budget.
 """
@@ -112,21 +112,13 @@ def canonicalize(spec: DoubleSpiderSpec | CanonicalDoubleSpider) -> CanonicalDou
 # ---------------------------------------------------------------------------
 
 
-def _prefix(values: Iterable[int]) -> tuple[int, ...]:
-    out = [0]
-    for v in values:
-        out.append(out[-1] + v)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class Parameters:
-    """Counting parameters of a canonical instance.
+    """Counting parameters of a canonical instance: each side split by parity.
 
     Right side: a odd paths of lengths 2x_i+1 and b even paths of lengths
     2y_i.  Left side: c odd paths of lengths 2w_i+1 with w_i >= 1, d even
-    paths of lengths 2z_i, and t unit paths.  Prefix tuples are indexed so
-    that e.g. A_odd[i] = sum_{k<=i} (x_k + 1), with A_odd[0] = 0.
+    paths of lengths 2z_i, and t unit paths.
     """
 
     a: int
@@ -139,43 +131,13 @@ class Parameters:
     y: tuple[int, ...]
     w: tuple[int, ...]
     z: tuple[int, ...]
-    A_odd: tuple[int, ...]
-    A_even: tuple[int, ...]
-    B: tuple[int, ...]
-    C_odd: tuple[int, ...]
-    C_even: tuple[int, ...]
-    D: tuple[int, ...]
     m: int
     deg_vl: int
     deg_vr: int
 
-    @property
-    def A_all(self) -> int:
-        return self.A_odd[self.a] + self.A_even[self.a]
-
-    @property
-    def B_all(self) -> int:
-        return 2 * self.B[self.b]
-
-    @property
-    def C_all(self) -> int:
-        return self.C_odd[self.c] + self.C_even[self.c]
-
-    @property
-    def D_all(self) -> int:
-        return 2 * self.D[self.d]
-
-    @property
-    def s1(self) -> int:
-        return abs(self.s - 2) // 2
-
-    @property
-    def s2(self) -> int:
-        return 1 if self.s == 1 or self.s % 2 == 0 else 2
-
 
 def derive_parameters(c: CanonicalDoubleSpider) -> Parameters:
-    """Split both sides into parity classes and precompute all prefix sums."""
+    """Split both sides into parity classes and count the edges and hub degrees."""
     x = tuple((l - 1) // 2 for l in c.right_lengths if l % 2 == 1)
     y = tuple(l // 2 for l in c.right_lengths if l % 2 == 0)
     t = sum(1 for l in c.left_lengths if l == 1)
@@ -185,18 +147,13 @@ def derive_parameters(c: CanonicalDoubleSpider) -> Parameters:
     p = Parameters(
         a=len(x), b=len(y), c=len(w), d=len(z), t=t, s=s,
         x=x, y=y, w=w, z=z,
-        A_odd=_prefix(xi + 1 for xi in x),
-        A_even=_prefix(x),
-        B=_prefix(y),
-        C_odd=_prefix(wi + 1 for wi in w),
-        C_even=_prefix(w),
-        D=_prefix(z),
         m=c.total_edges,
         deg_vl=len(c.left_lengths) + 1,
         deg_vr=len(c.right_lengths) + 1,
     )
     assert all(wi >= 1 for wi in w)
-    assert p.m == p.A_all + p.B_all + s + p.C_all + p.D_all + t
+    assert p.m == (s + sum(2 * xi + 1 for xi in x) + 2 * sum(y)
+                   + sum(2 * wi + 1 for wi in w) + 2 * sum(z) + t)
     return p
 
 
@@ -317,25 +274,6 @@ def pendant_paths(left_lengths: Sequence[int],
             out.append((hub, [EdgeAddress(kind, i, j) for j in js]))
     out.extend((HUB_LEFT, [EdgeAddress.l_unit(i)]) for i in range(1, left_lengths.count(1) + 1))
     return out
-
-
-def _layout(p: Parameters) -> list[tuple[str, list[EdgeAddress]]]:
-    """pendant_paths of the instance p was derived from, rebuilt from x, y, w, z, t."""
-    return pendant_paths([2 * wi + 1 for wi in p.w] + [2 * zi for zi in p.z] + [1] * p.t,
-                         [2 * xi + 1 for xi in p.x] + [2 * yi for yi in p.y])
-
-
-def all_addresses(p: Parameters) -> list[EdgeAddress]:
-    """Every in-range address of an instance: the core, then the path layout."""
-    out = [EdgeAddress.core(j) for j in range(1, p.s + 1)]
-    for _, path in _layout(p):
-        out.extend(path)
-    return out
-
-
-def pendant_addresses(p: Parameters) -> list[EdgeAddress]:
-    """Addresses of the pendant (leaf-incident) edges."""
-    return [path[-1] for _, path in _layout(p)]
 
 
 # ---------------------------------------------------------------------------

@@ -50,19 +50,19 @@ def check_instance(c: CanonicalDoubleSpider, oracle_max: int | None = None) -> S
     The driver verifies what it returns and raises ConstructionBug, naming
     the first violation, on a failure; the oracle is the independent check.
     """
-    p = derive_parameters(c)
-    tag = classify(p)
     start = time.perf_counter()
     ok, detail = True, ""
     try:
         lt = strongly_antimagic_label(c)
+        p = lt.spider.params
         if oracle_max is not None and p.m <= oracle_max:
             result = find_strongly_antimagic(lt.spider.tree, SearchBudget(max_edges=oracle_max))
             if not result.found:
                 ok, detail = False, f"oracle disagrees: {result.status}"
     except Exception as exc:  # a construction bug, not a property failure
         ok, detail = False, f"{type(exc).__name__}: {exc}"
-    return SweepRecord(c, p.m, tag, ok, detail, time.perf_counter() - start)
+        p = derive_parameters(c)  # so a failed record still names m and its tag
+    return SweepRecord(c, p.m, classify(p), ok, detail, time.perf_counter() - start)
 
 
 def _check_star(args: tuple[CanonicalDoubleSpider, int | None]) -> SweepRecord:

@@ -219,6 +219,26 @@ def test_unit_path_moves_reject_unknown_side():
         insert_unit_path(lt, "Left")
 
 
+COUNTED_MOVES = {
+    "delete_leaf_level": lambda c, lab, n: delete_leaf_level(c, n),
+    "remove_unit_path": lambda c, lab, n: remove_unit_path(c, "left", n),
+    "grow_all_paths": lambda c, lab, n: grow_all_paths(c, n),
+    "add_unit_path": lambda c, lab, n: add_unit_path(c, "left", n),
+    "extend_leaf_levels": lambda c, lab, n: extend_leaf_levels(c, lab, n)[0],
+    "insert_unit_paths": lambda c, lab, n: insert_unit_paths(c, lab, "left", n)[0],
+}
+
+
+@pytest.mark.parametrize("move", sorted(COUNTED_MOVES))
+def test_counted_moves_reject_negative_counts(move):
+    # a negative count used to build a wrong instance silently; 0 is a no-op
+    c = CanonicalDoubleSpider(1, (1, 1, 3, 5), (1, 2))
+    lab = strongly_antimagic_label(c).labeling
+    with pytest.raises(ValueError, match="a move count must be >= 0"):
+        COUNTED_MOVES[move](c, lab, -1)
+    assert COUNTED_MOVES[move](c, lab, 0) == c
+
+
 def test_reduction_stack_replays_to_original():
     c = canonicalize(DoubleSpiderSpec(2, (3, 3, 3), (3, 3, 3)))
     stack = []

@@ -161,8 +161,8 @@ def test_sweep_materializes_and_verifies_once(spec, monkeypatch):
     assert rec.ok and rec.detail == ""
     assert len(built) == 1 and len(checked) == 1
     if rec.tag is CaseTag.UNEQUAL_ODD_RIGHT:
-        # once for the sweep's record, once inside the one materialization
-        assert len(derived) == 2
+        # once, inside the one materialization; the record reads its m and tag
+        assert len(derived) == 1
 
 
 def _labeling_digest(specs):

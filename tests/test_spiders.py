@@ -19,7 +19,6 @@ from antimagic import (
     parse_address,
 )
 from antimagic.labelers import SPECIAL_INSTANCE
-from antimagic.spiders import address_sort_key, all_addresses
 
 
 def spec(core, left, right):
@@ -92,24 +91,41 @@ def test_parameters_smallest():
     assert (p.a, p.x, p.c, p.d, p.t, p.s, p.m) == (2, (0, 0), 0, 0, 2, 1, 5)
 
 
+def split_edges(p):
+    """Edges counted from the parity split: core, odd and even right paths,
+    long odd, even and unit left paths."""
+    return (p.s + sum(2 * xi + 1 for xi in p.x) + 2 * sum(p.y)
+            + sum(2 * wi + 1 for wi in p.w) + 2 * sum(p.z) + p.t)
+
+
+def expected_addresses(p):
+    """Every address of an instance, written from its parity split."""
+    out = [EdgeAddress.core(j) for j in range(1, p.s + 1)]
+    for kind, lengths in ((EdgeAddress.r_odd, [2 * xi + 1 for xi in p.x]),
+                          (EdgeAddress.r_even, [2 * yi for yi in p.y]),
+                          (EdgeAddress.l_odd, [2 * wi + 1 for wi in p.w]),
+                          (EdgeAddress.l_even, [2 * zi for zi in p.z])):
+        out += [kind(i, j) for i, l in enumerate(lengths, start=1) for j in range(1, l + 1)]
+    return out + [EdgeAddress.l_unit(i) for i in range(1, p.t + 1)]
+
+
 def test_parameters_mixed_instance():
     # core 3, left {5,4,2,1,1}, right {3,2}: classified by hand; the edge
-    # count is 3 + 13 + 5 = 21, cross-checked by the prefix-sum identity.
+    # count is 3 + 13 + 5 = 21, cross-checked by the parity-split identity.
     p = derive_parameters(canonicalize(spec(3, [5, 4, 2, 1, 1], [3, 2])))
     assert (p.a, p.x) == (1, (1,))
     assert (p.b, p.y) == (1, (1,))
     assert (p.c, p.w) == (1, (2,))
     assert (p.d, p.z) == (2, (1, 2))
     assert (p.t, p.s, p.m) == (2, 3, 21)
-    assert p.m == p.A_all + p.B_all + p.s + p.C_all + p.D_all + p.t
+    assert p.m == split_edges(p)
     assert p.deg_vl == 6 and p.deg_vr == 3
 
 
 def test_m_identity_over_enumeration():
     for c in enumerate_instances(12):
         p = derive_parameters(c)
-        assert p.m == p.A_all + p.B_all + p.s + p.C_all + p.D_all + p.t
-        assert p.m == c.total_edges
+        assert p.m == split_edges(p) == c.total_edges
 
 
 # --- materialize ----------------------------------------------------------
@@ -136,7 +152,7 @@ def test_materialize_hub_degrees():
 def test_materialize_address_bijection():
     for c in enumerate_instances(9):
         sp = materialize_tree(c)
-        addrs = all_addresses(sp.params)
+        addrs = expected_addresses(sp.params)
         assert len(addrs) == sp.params.m
         assert set(addrs) == set(sp.edge_of)
         assert len(set(sp.edge_of.values())) == sp.params.m

@@ -2,7 +2,7 @@
 
 import hashlib
 
-from antimagic import DoubleSpiderSpec, canonicalize
+from antimagic import CaseTag, DoubleSpiderSpec, canonicalize
 from antimagic.sweep import check_instance, format_report, run_sweep
 
 
@@ -22,3 +22,5 @@ def test_check_instance_reports_construction_bug(monkeypatch):
     assert not rec.ok
     assert rec.detail.startswith("ConstructionBug:")
     assert rec.detail.endswith("duplicate-sum: phi(vr)=41 (deg 3) vs phi(vl)=41 (deg 4)")
+    # a failed record derives its own m and tag
+    assert rec.m == 19 and rec.tag is CaseTag.UNEQUAL_EVEN_RIGHT
