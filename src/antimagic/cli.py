@@ -92,6 +92,7 @@ def cmd_label(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     spec = fileio.parse_instance(_read(args.spec))
     labeling = fileio.parse_labeling(_read(args.labeling))
+    fileio.check_labeling_size(spec, labeling)
     spider = materialize_tree(canonicalize(spec))
     fileio.check_labeling_matches(spider, labeling)
     report = vertex_sums(spider, labeling)
@@ -115,6 +116,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.max_edges < 5:
         print("error: --max-edges must be at least 5", file=sys.stderr)
         return EXIT_BAD_INPUT
+    _check_writable(args.report)
     start = time.perf_counter()
     report = run_sweep(args.max_edges, oracle_max=args.oracle_max, workers=args.workers)
     elapsed = time.perf_counter() - start
@@ -123,9 +125,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     print(f"instances = {report.total}")
     print(f"failures = {len(report.failures)}")
     for rec in report.failures:
-        left = ",".join(map(str, rec.instance.left_lengths))
-        right = ",".join(map(str, rec.instance.right_lengths))
-        print(f"FAIL core={rec.instance.core_length} left={left} right={right}: {rec.detail}")
+        print(f"FAIL {rec.instance.text}: {rec.detail}")
     print(f"elapsed: {elapsed:.2f}s", file=sys.stderr)
     return EXIT_OK if report.all_ok else EXIT_PROPERTY_FAIL
 
@@ -155,11 +155,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
     spec = fileio.parse_instance(_read(args.spec))
-    spider = materialize_tree(canonicalize(spec))
     labeling = None
     if args.labeling:
         labeling = fileio.parse_labeling(_read(args.labeling))
-        fileio.check_labeling_matches(spider, labeling)
+        fileio.check_labeling_size(spec, labeling)
+    spider = materialize_tree(canonicalize(spec))
     _write(args.out, fileio.export_dot(spider, labeling))
     return EXIT_OK
 

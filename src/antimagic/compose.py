@@ -16,7 +16,7 @@ double spider branches of the public moves are those with k = 1, verified.
 
 from __future__ import annotations
 
-from .labeling import EdgeLabeling, LabeledTree, labeled_spider, labeled_tree
+from .labeling import EdgeLabeling, LabeledSpider, LabeledTree, labeled_spider, labeled_tree
 from .spiders import (
     HUB_LEFT,
     HUB_RIGHT,
@@ -166,7 +166,7 @@ def insert_unit_paths(
     return add_unit_path(c, side, k), EdgeLabeling(labeling.total_edges + k, assignment)
 
 
-def _verified(grown: tuple[CanonicalDoubleSpider, EdgeLabeling], move: str) -> LabeledTree:
+def _verified(grown: tuple[CanonicalDoubleSpider, EdgeLabeling], move: str) -> LabeledSpider:
     c, labeling = grown
     out = labeled_spider(materialize_tree(c), labeling)
     if not out.report.strong_ok:
@@ -186,21 +186,21 @@ def _fresh_id(base: str, taken: set[str]) -> str:
     return vid
 
 
-def extend_leaves(lt: LabeledTree) -> LabeledTree:
+def extend_leaves(lt: LabeledTree | LabeledSpider) -> LabeledTree | LabeledSpider:
     """Attach one new pendant edge to every leaf (Lemma-1 style growth).
 
     New edges get 1..|V1| in ascending order of the old leaf sums; every old
     label shifts up by |V1|.  A double spider stays one; any other tree goes
     through attach_pendants_to_degree_class with k = 1.
     """
-    if lt.spider is None:
+    if not isinstance(lt, LabeledSpider):
         return attach_pendants_to_degree_class(lt, 1)
     if not lt.report.strong_ok:
         raise CompositionError("input labeling is not strongly antimagic")
     return _verified(extend_leaf_levels(lt.spider.instance, lt.labeling, 1), "leaf extension")
 
 
-def attach_pendants_to_degree_class(lt: LabeledTree, k: int) -> LabeledTree:
+def attach_pendants_to_degree_class(lt: LabeledTree | LabeledSpider, k: int) -> LabeledTree:
     """Attach one new pendant edge to every degree-k vertex.
 
     With k = 1 this is extend_leaves on a plain tree; the output is a plain
@@ -237,7 +237,7 @@ def attach_pendants_to_degree_class(lt: LabeledTree, k: int) -> LabeledTree:
 # ---------------------------------------------------------------------------
 
 
-def insert_unit_path(lt: LabeledTree, side: str) -> LabeledTree:
+def insert_unit_path(lt: LabeledSpider, side: str) -> LabeledSpider:
     """Add a unit path at a hub: the new edge gets 1, everything shifts by 1.
 
     Right insertion needs the right hub to reach degree > 3 without passing
@@ -245,7 +245,7 @@ def insert_unit_path(lt: LabeledTree, side: str) -> LabeledTree:
     degree and to already carry the larger vertex sum.
     """
     _check_side(side)
-    if lt.spider is None:
+    if not isinstance(lt, LabeledSpider):
         raise CompositionError("unit-path insertion needs a double spider instance")
     if not lt.report.strong_ok:
         raise CompositionError("input labeling is not strongly antimagic")

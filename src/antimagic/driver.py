@@ -5,9 +5,8 @@ it, verify once.  Instances that one of the step labelers covers are labeled
 directly; the rest are reduced (leaf-level deletions, unit-path removals) to
 a coverable residue, and each run of equal reductions is undone, LIFO, by
 one direct batched relabeling (`compose.insert_unit_paths`,
-`compose.extend_leaf_levels`).  The labelers and the replay work on
-address-keyed labelings; only the final one meets the tree, in the one
-verification.
+`compose.extend_leaf_levels`).  The labelers, the replay and the one
+verification all work on address-keyed labelings; no string Tree is built.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from .compose import (
     insert_unit_paths,
     remove_unit_path,
 )
-from .labeling import EdgeLabeling, LabeledTree, labeled_spider
+from .labeling import EdgeLabeling, LabeledSpider, labeled_spider
 from .labelers import (
     SPECIAL_INSTANCE,
     SPECIAL_INSTANCE_ASSIGNMENT,
@@ -45,7 +44,7 @@ from .spiders import (
 def strongly_antimagic_label(
     spec: DoubleSpiderSpec | CanonicalDoubleSpider,
     trace: list[str] | None = None,
-) -> LabeledTree:
+) -> LabeledSpider:
     """Label the instance; the result always passes the strong verifier.
 
     When trace is a list, step lines for the directly labeled residue and
@@ -75,19 +74,13 @@ def _note(trace: list[str] | None, text: str) -> None:
         trace.append(f"# {text}")
 
 
-def _instance_note(c: CanonicalDoubleSpider) -> str:
-    left = ",".join(map(str, c.left_lengths))
-    right = ",".join(map(str, c.right_lengths))
-    return f"core={c.core_length} left={left} right={right}"
-
-
 def _label(c: CanonicalDoubleSpider, p: Parameters, trace: list[str] | None) -> EdgeLabeling:
     tag = classify(p)
     if tag is CaseTag.UNEQUAL_ODD_RIGHT:
-        _note(trace, f"direct odd-right labeling of {_instance_note(c)}")
+        _note(trace, f"direct odd-right labeling of {c.text}")
         return _from_steps(p, odd_right_steps(p), trace)
     if tag is CaseTag.UNEQUAL_EVEN_RIGHT:
-        _note(trace, f"direct even-right labeling of {_instance_note(c)}")
+        _note(trace, f"direct even-right labeling of {c.text}")
         return _from_steps(p, even_right_steps(p), trace)
     if tag is CaseTag.UNEQUAL_ALL_UNIT_RIGHT:
         return _label_all_unit_right(c, trace)
@@ -97,14 +90,14 @@ def _label(c: CanonicalDoubleSpider, p: Parameters, trace: list[str] | None) -> 
 def _label_residue(c: CanonicalDoubleSpider, trace: list[str] | None) -> EdgeLabeling:
     p = derive_parameters(c)
     if c == SPECIAL_INSTANCE:
-        _note(trace, f"fixed labeling of the special residue {_instance_note(c)}")
+        _note(trace, f"fixed labeling of the special residue {c.text}")
         events = [StepEvent(1, addr, label) for addr, label in
                   sorted(SPECIAL_INSTANCE_ASSIGNMENT.items(), key=lambda kv: kv[1])]
         return _from_steps(p, events, trace)
     if is_type_a(p):
-        _note(trace, f"type-(a) labeling of residue {_instance_note(c)}")
+        _note(trace, f"type-(a) labeling of residue {c.text}")
         return _from_steps(p, type_a_steps(p), trace)
-    _note(trace, f"type-(b)/(c) labeling of residue {_instance_note(c)}")
+    _note(trace, f"type-(b)/(c) labeling of residue {c.text}")
     return _from_steps(p, type_bc_steps(p), trace)
 
 
@@ -119,7 +112,7 @@ def _label_all_unit_right(c: CanonicalDoubleSpider, trace: list[str] | None) -> 
     a = len(c.right_lengths) - 2
     b = min(c.left_lengths.count(1), len(c.left_lengths) - 2)
     cur = remove_unit_path(remove_unit_path(c, "right", a), "left", b)
-    _note(trace, f"reduced {_instance_note(c)} by {a + b} unit removals")
+    _note(trace, f"reduced {c.text} by {a + b} unit removals")
     labeling = _label_residue(cur, trace)
     if b:
         _note_replay(trace, "remove-unit-left", b)
@@ -135,13 +128,13 @@ def _label_equal_degrees(c: CanonicalDoubleSpider, high: bool,
     h = min(min(c.left_lengths), min(c.right_lengths))
     cur = delete_leaf_level(c, h - 1)
     if h > 1:
-        _note(trace, f"deleted {h - 1} leaf levels from {_instance_note(c)}")
+        _note(trace, f"deleted {h - 1} leaf levels from {c.text}")
     # The canonical orientation puts a shortest path on the right, so the
     # shrunken instance has a right unit path.
     assert 1 in cur.right_lengths
     if high:
         cur = remove_unit_path(cur, "right")
-        _note(trace, f"removed one right unit, recursing on {_instance_note(cur)}")
+        _note(trace, f"removed one right unit, recursing on {cur.text}")
         labeling = _label(cur, derive_parameters(cur), trace)
         _note_replay(trace, "remove-unit-right", 1)
         cur, labeling = insert_unit_paths(cur, labeling, "right", 1)

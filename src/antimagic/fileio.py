@@ -22,7 +22,6 @@ from .spiders import (
     DoubleSpiderSpec,
     EdgeAddress,
     SpiderTree,
-    address_sort_key,
     parse_address,
 )
 
@@ -101,9 +100,18 @@ def parse_labeling(text: str) -> EdgeLabeling:
 
 def format_labeling(labeling: EdgeLabeling) -> str:
     lines = [f"m = {labeling.total_edges}"]
-    for addr in sorted(labeling.assignment, key=address_sort_key):
+    for addr in sorted(labeling.assignment):
         lines.append(f"edge = {addr.text}, label = {labeling.assignment[addr]}")
     return "\n".join(lines) + "\n"
+
+
+def check_labeling_size(spec: DoubleSpiderSpec, labeling: EdgeLabeling) -> None:
+    """Raise FormatError unless the m line and the record count equal the spec's edge count."""
+    m, records = spec.total_edges, len(labeling.assignment)
+    if labeling.total_edges != m:
+        raise FormatError(f"labeling says m = {labeling.total_edges} but the instance has {m} edges")
+    if records != m:
+        raise FormatError(f"labeling has {records} edge records but the instance has {m} edges")
 
 
 def check_labeling_matches(spider: SpiderTree, labeling: EdgeLabeling) -> None:
@@ -111,18 +119,14 @@ def check_labeling_matches(spider: SpiderTree, labeling: EdgeLabeling) -> None:
     expected = spider.edge_of.keys()
     got = set(labeling.assignment)
     if got != expected:
-        missing = sorted(expected - got, key=address_sort_key)
-        extra = sorted(got - expected, key=address_sort_key)
+        missing = sorted(expected - got)
+        extra = sorted(got - expected)
         parts = []
         if missing:
             parts.append("missing " + ", ".join(a.text for a in missing[:5]))
         if extra:
             parts.append("unknown " + ", ".join(a.text for a in extra[:5]))
         raise FormatError("labeling does not match the instance: " + "; ".join(parts))
-    if labeling.total_edges != spider.params.m:
-        raise FormatError(
-            f"labeling says m = {labeling.total_edges} but the instance has {spider.params.m} edges"
-        )
 
 
 def export_dot(spider: SpiderTree, labeling: EdgeLabeling | None = None) -> str:
@@ -130,9 +134,9 @@ def export_dot(spider: SpiderTree, labeling: EdgeLabeling | None = None) -> str:
     if labeling is not None:
         check_labeling_matches(spider, labeling)
     lines = ["graph doublespider {"]
-    for v in spider.tree.vertices:
+    for v in spider.vertices:
         lines.append(f'  "{v}";')
-    for addr in sorted(spider.edge_of, key=address_sort_key):
+    for addr in sorted(spider.edge_of):
         u, v = spider.edge_of[addr]
         if labeling is None:
             lines.append(f'  "{u}" -- "{v}";')

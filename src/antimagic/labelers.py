@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .labeling import EdgeLabeling, LabeledTree, labeled_spider
+from .labeling import EdgeLabeling, LabeledSpider, labeled_spider
 from .spiders import (
     CanonicalDoubleSpider,
     EdgeAddress,
@@ -271,7 +271,7 @@ SPECIAL_INSTANCE_ASSIGNMENT = {
 }
 
 
-def special_instance_labeling() -> LabeledTree:
+def special_instance_labeling() -> LabeledSpider:
     """The hand-built labeling of the one instance the step rules cannot handle."""
     spider = materialize_tree(SPECIAL_INSTANCE)
     labeling = EdgeLabeling(total_edges=8, assignment=dict(SPECIAL_INSTANCE_ASSIGNMENT))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .spiders import EdgeAddress, SpiderTree
@@ -26,16 +27,6 @@ class EdgeLabeling:
 
     total_edges: int
     assignment: dict[EdgeAddress, int]
-
-    def labels_on(self, spider: SpiderTree) -> dict[Edge, int]:
-        """Resolve addresses against a materialized instance."""
-        out: dict[Edge, int] = {}
-        for addr, label in self.assignment.items():
-            edge = spider.edge_of.get(addr)
-            if edge is None:
-                raise LabelingError(f"address {addr} does not exist in the instance")
-            out[edge] = label
-        return out
 
 
 @dataclass(frozen=True)
@@ -67,19 +58,6 @@ class VertexSumReport:
     antimagic_ok: bool
     strong_ok: bool
     violation: SumViolation | None
-
-
-def _resolve(tree: Tree | SpiderTree, labeling) -> tuple[Tree, dict[Edge, int], int]:
-    if isinstance(tree, SpiderTree):
-        base = tree.tree
-        if isinstance(labeling, EdgeLabeling):
-            return base, labeling.labels_on(tree), labeling.total_edges
-    else:
-        base = tree
-        if isinstance(labeling, EdgeLabeling):
-            raise LabelingError("address-keyed labeling needs a materialized instance")
-    labels = {edge_key(u, v): lab for (u, v), lab in labeling.items()}
-    return base, labels, len(labels)
 
 
 def _first_pair(
@@ -133,23 +111,38 @@ def vertex_sums(tree: Tree | SpiderTree, labeling) -> VertexSumReport:
     has such a v, paired with the first such v.  A non-bijective labeling gets
     the "bad-bijection" violation and all flags False.
 
+    A double spider (SpiderTree) takes its address-keyed EdgeLabeling and
+    any other Tree an edge-keyed mapping; the spider's Tree is never built.
     Raises LabelingError when the labeled edge set differs from the tree's.
     """
-    base, labels, m = _resolve(tree, labeling)
-    if set(labels) != set(base.edges):
-        raise LabelingError("labeling does not cover exactly the tree's edges")
+    if isinstance(labeling, EdgeLabeling) != isinstance(tree, SpiderTree):
+        raise LabelingError("an address-keyed labeling needs a materialized instance, "
+                            "an edge-keyed one a Tree")
+    if isinstance(tree, SpiderTree):
+        if labeling.assignment.keys() != tree.edge_of.keys():
+            raise LabelingError("labeling does not cover exactly the instance's edges")
+        edges, m = tree.edge_of.values(), labeling.total_edges
+        labels = list(map(labeling.assignment.__getitem__, tree.edge_of))
+    else:
+        keyed = {edge_key(u, v): lab for (u, v), lab in labeling.items()}
+        if keyed.keys() != set(tree.edges):
+            raise LabelingError("labeling does not cover exactly the tree's edges")
+        edges, labels, m = keyed.keys(), keyed.values(), len(keyed)
 
-    sums = {v: 0 for v in base.vertices}
-    for (u, v), lab in labels.items():
+    vertices = tree.vertices
+    sums = dict.fromkeys(vertices, 0)
+    degrees = dict.fromkeys(vertices, 0)
+    for (u, v), lab in zip(edges, labels):
         sums[u] += lab
         sums[v] += lab
+        degrees[u] += 1
+        degrees[v] += 1
 
-    bijection_ok = sorted(labels.values()) == list(range(1, m + 1))
+    bijection_ok = sorted(labels) == list(range(1, m + 1))
     if bijection_ok:
         assert sum(sums.values()) == m * (m + 1)
 
-    degrees = base.degrees
-    order = sorted(base.vertices, key=lambda v: (degrees[v], v))
+    order = sorted(vertices, key=lambda v: (degrees[v], v))
     classes: dict[int, list[str]] = {}
     for v in order:
         classes.setdefault(degrees[v], []).append(v)
@@ -217,17 +210,37 @@ def verify_antimagic(tree: Tree | SpiderTree, labeling) -> bool:
 
 @dataclass(frozen=True)
 class LabeledTree:
-    """A tree with a verified labeling; spider context kept when available."""
+    """A plain tree with a verified edge-keyed labeling."""
 
     tree: Tree
     labels: dict[Edge, int]
     report: VertexSumReport
-    spider: SpiderTree | None = None
-    labeling: EdgeLabeling | None = None
 
     @property
     def total_edges(self) -> int:
         return len(self.labels)
+
+
+@dataclass(frozen=True)
+class LabeledSpider:
+    """A double spider with a verified address-keyed labeling; tree and labels on first use."""
+
+    spider: SpiderTree
+    labeling: EdgeLabeling
+    report: VertexSumReport
+
+    @property
+    def tree(self) -> Tree:
+        return self.spider.tree
+
+    @cached_property
+    def labels(self) -> dict[Edge, int]:
+        lab = self.labeling.assignment
+        return {e: lab[a] for a, e in self.spider.edge_of.items()}
+
+    @property
+    def total_edges(self) -> int:
+        return self.labeling.total_edges
 
 
 def labeled_tree(tree: Tree, labels: Mapping[Edge, int]) -> LabeledTree:
@@ -235,12 +248,5 @@ def labeled_tree(tree: Tree, labels: Mapping[Edge, int]) -> LabeledTree:
     return LabeledTree(tree=tree, labels=labels, report=vertex_sums(tree, labels))
 
 
-def labeled_spider(spider: SpiderTree, labeling: EdgeLabeling) -> LabeledTree:
-    labels = labeling.labels_on(spider)
-    return LabeledTree(
-        tree=spider.tree,
-        labels=labels,
-        report=vertex_sums(spider.tree, labels),
-        spider=spider,
-        labeling=labeling,
-    )
+def labeled_spider(spider: SpiderTree, labeling: EdgeLabeling) -> LabeledSpider:
+    return LabeledSpider(spider=spider, labeling=labeling, report=vertex_sums(spider, labeling))

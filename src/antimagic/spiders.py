@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property, lru_cache
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .trees import Edge, Tree, edge_key, make_tree
 
@@ -85,6 +85,13 @@ class CanonicalDoubleSpider:
     @property
     def sort_key(self) -> tuple:
         return (self.total_edges, self.core_length, self.right_lengths, self.left_lengths)
+
+    @property
+    def text(self) -> str:
+        """`core=<s> left=<lengths> right=<lengths>`, as traces and sweep reports name it."""
+        left = ",".join(map(str, self.left_lengths))
+        right = ",".join(map(str, self.right_lengths))
+        return f"core={self.core_length} left={left} right={right}"
 
 
 def _oriented_ok(left: tuple[int, ...], right: tuple[int, ...]) -> bool:
@@ -161,34 +168,21 @@ def derive_parameters(c: CanonicalDoubleSpider) -> Parameters:
 # Edge addressing
 # ---------------------------------------------------------------------------
 
-KIND_CORE = "core"
-KIND_R_ODD = "R/odd"
-KIND_R_EVEN = "R/even"
-KIND_L_ODD = "L/odd"
-KIND_L_EVEN = "L/even"
-KIND_L_UNIT = "L/unit"
-
-_KIND_RANK = {
-    KIND_CORE: 0,
-    KIND_R_ODD: 1,
-    KIND_R_EVEN: 2,
-    KIND_L_ODD: 3,
-    KIND_L_EVEN: 4,
-    KIND_L_UNIT: 5,
-}
+KIND_CORE, KIND_R_ODD, KIND_R_EVEN, KIND_L_ODD, KIND_L_EVEN, KIND_L_UNIT = range(6)
+KIND_NAMES = ("core", "R/odd", "R/even", "L/odd", "L/even", "L/unit")
 
 
-@dataclass(frozen=True)
-class EdgeAddress:
-    """Position of an edge in a canonical instance.
+class EdgeAddress(NamedTuple):
+    """Position of an edge in a canonical instance; tuples sort in labeling-file order.
 
-    Core edges carry only j (1..s).  Path edges carry the path index i within
-    their parity class and the position j along the path; on right paths j
-    grows away from vr (the pendant edge has maximal j), on left paths the
-    pendant edge has j = 1.  Unit left paths carry only i.
+    kind is the class rank, core first.  Core edges carry only j (1..s).
+    Path edges carry the path index i within their parity class and the
+    position j along the path; on right paths j grows away from vr (the
+    pendant edge has maximal j), on left paths the pendant edge has j = 1.
+    Unit left paths carry only i.
     """
 
-    kind: str
+    kind: int
     i: int = 0
     j: int = 0
 
@@ -222,14 +216,10 @@ class EdgeAddress:
             return f"core/{self.j}"
         if self.kind == KIND_L_UNIT:
             return f"L/unit/{self.i}"
-        return f"{self.kind}/{self.i}/{self.j}"
+        return f"{KIND_NAMES[self.kind]}/{self.i}/{self.j}"
 
     def __str__(self) -> str:
         return self.text
-
-
-def address_sort_key(addr: EdgeAddress) -> tuple[int, int, int]:
-    return (_KIND_RANK[addr.kind], addr.i, addr.j)
 
 
 def parse_address(text: str) -> EdgeAddress:
@@ -239,10 +229,10 @@ def parse_address(text: str) -> EdgeAddress:
         if parts[0] == "core" and len(parts) == 2:
             return EdgeAddress.core(int(parts[1]))
         kind = "/".join(parts[:2])
-        if kind == KIND_L_UNIT and len(parts) == 3:
+        if kind == "L/unit" and len(parts) == 3:
             return EdgeAddress.l_unit(int(parts[2]))
-        if kind in (KIND_R_ODD, KIND_R_EVEN, KIND_L_ODD, KIND_L_EVEN) and len(parts) == 4:
-            return EdgeAddress(kind, int(parts[2]), int(parts[3]))
+        if kind in KIND_NAMES[KIND_R_ODD:KIND_L_UNIT] and len(parts) == 4:
+            return EdgeAddress(KIND_NAMES.index(kind), int(parts[2]), int(parts[3]))
     except ValueError:
         pass
     raise ValueError(f"bad edge address: {text!r}")
@@ -283,16 +273,24 @@ def pendant_paths(left_lengths: Sequence[int],
 
 @dataclass(frozen=True)
 class SpiderTree:
-    """Materialized double spider: the tree plus the address -> edge map."""
+    """Materialized double spider: vertex ids, the address -> edge map, and the Tree on first use."""
 
     instance: CanonicalDoubleSpider
     params: Parameters
-    tree: Tree
+    vertices: tuple[str, ...]
     edge_of: dict[EdgeAddress, Edge]
+
+    @cached_property
+    def tree(self) -> Tree:
+        tree = make_tree(self.vertices, self.edge_of.values())
+        p = self.params
+        assert tree.degree(HUB_LEFT) == p.deg_vl and tree.degree(HUB_RIGHT) == p.deg_vr
+        assert sorted(v for v in tree.vertices if tree.degree(v) >= 3) == sorted([HUB_LEFT, HUB_RIGHT])
+        return tree
 
 
 def materialize_tree(c: CanonicalDoubleSpider) -> SpiderTree:
-    """Build the concrete tree with vertex ids mirroring the address scheme.
+    """Name the vertices and edges of c, with vertex ids mirroring the address scheme.
 
     The core's inner vertices are core/2..core/s; every other vertex is named
     by the address of the path edge that reaches it from the hub's side.
@@ -310,11 +308,7 @@ def materialize_tree(c: CanonicalDoubleSpider) -> SpiderTree:
             vertices.append(far)
             edge_of[addr] = edge_key(near, far)
             near = far
-
-    tree = make_tree(vertices, edge_of.values())
-    assert tree.degree(HUB_LEFT) == p.deg_vl and tree.degree(HUB_RIGHT) == p.deg_vr
-    assert sorted(v for v in tree.vertices if tree.degree(v) >= 3) == sorted([HUB_LEFT, HUB_RIGHT])
-    return SpiderTree(instance=c, params=p, tree=tree, edge_of=edge_of)
+    return SpiderTree(instance=c, params=p, vertices=tuple(vertices), edge_of=edge_of)
 
 
 # ---------------------------------------------------------------------------

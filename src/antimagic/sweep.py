@@ -56,7 +56,7 @@ def check_instance(c: CanonicalDoubleSpider, oracle_max: int | None = None) -> S
         lt = strongly_antimagic_label(c)
         p = lt.spider.params
         if oracle_max is not None and p.m <= oracle_max:
-            result = find_strongly_antimagic(lt.spider.tree, SearchBudget(max_edges=oracle_max))
+            result = find_strongly_antimagic(lt.tree, SearchBudget(max_edges=oracle_max))
             if not result.found:
                 ok, detail = False, f"oracle disagrees: {result.status}"
     except Exception as exc:  # a construction bug, not a property failure
@@ -87,10 +87,8 @@ def format_report(report: SweepReport) -> str:
     lines = [f"max_edges = {report.max_edges}", f"instances = {report.total}",
              f"failures = {len(report.failures)}"]
     for r in report.records:
-        left = ",".join(map(str, r.instance.left_lengths))
-        right = ",".join(map(str, r.instance.right_lengths))
-        line = (f"instance core={r.instance.core_length} left={left} right={right} "
-                f"m={r.m} case={r.tag.value} result={'pass' if r.ok else 'FAIL'}")
+        line = (f"instance {r.instance.text} m={r.m} case={r.tag.value} "
+                f"result={'pass' if r.ok else 'FAIL'}")
         if r.detail:
             line += f" detail={r.detail}"
         lines.append(line)

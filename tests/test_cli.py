@@ -156,7 +156,12 @@ def test_sweep_small(tmp_path, capsys):
     assert text.count("result=pass") == 4
 
 
-def test_sweep_report_into_missing_directory(tmp_path, capsys):
+def test_sweep_report_into_missing_directory(tmp_path, capsys, monkeypatch):
+    # the report path is checked before the sweep runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("swept before checking the report path")
+
+    monkeypatch.setattr("antimagic.cli.run_sweep", refuse)
     report = tmp_path / "missing" / "sweep.txt"
     assert main(["sweep", "--max-edges", "6", "--report", str(report)]) == 1
     _one_write_error(capsys.readouterr().err, report)
@@ -198,11 +203,12 @@ def test_oracle_budget_exhaustion(tmp_path, capsys):
     assert main(["oracle", "--spec", str(big), "--strong"]) == 5
 
 
-def test_oracle_checks_edge_budget_before_materializing(tmp_path, capsys, monkeypatch):
-    def refuse(c):
-        raise AssertionError("materialized an instance over the edge budget")
+def refuse_to_materialize(c):
+    raise AssertionError("materialized a billion-edge instance")
 
-    monkeypatch.setattr("antimagic.cli.materialize_tree", refuse)
+
+def test_oracle_checks_edge_budget_before_materializing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("antimagic.cli.materialize_tree", refuse_to_materialize)
     huge = tmp_path / "huge.txt"
     huge.write_text("core = 1000000000\nleft = 1,1\nright = 1,1\n")
     assert main(["oracle", "--spec", str(huge), "--strong"]) == 5
@@ -238,6 +244,27 @@ def test_export_dot(tmp_path, special_spec):
     plain = tmp_path / "plain.dot"
     assert main(["export-dot", "--spec", str(special_spec), "--out", str(plain)]) == 0
     assert "label=" not in plain.read_text()
+
+
+@pytest.mark.parametrize("m_line,error", [
+    ("m = 8", "labeling says m = 8 but the instance has 1000000006 edges"),
+    ("m = 1000000006", "labeling has 8 edge records but the instance has 1000000006 edges"),
+], ids=["m-line", "record-count"])
+@pytest.mark.parametrize("command", [["verify", "--strong"], ["export-dot", "--out", "x.dot"]],
+                         ids=["verify", "export-dot"])
+def test_labeling_size_checked_before_materializing(tmp_path, special_spec, capsys, monkeypatch,
+                                                    m_line, error, command):
+    lab = tmp_path / "special.lab"
+    assert main(["label", "--spec", str(special_spec), "--out", str(lab)]) == 0
+    lab.write_text(lab.read_text().replace("m = 8", m_line))
+    huge = tmp_path / "huge.txt"
+    huge.write_text("core = 1000000000\nleft = 3,1\nright = 1,1\n")
+    monkeypatch.setattr("antimagic.cli.materialize_tree", refuse_to_materialize)
+    monkeypatch.chdir(tmp_path)
+    name, *rest = command
+    assert main([name, "--spec", str(huge), "--labeling", str(lab), *rest]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not (tmp_path / "x.dot").exists()
 
 
 def test_export_dot_mismatch_is_malformed(tmp_path, special_spec):

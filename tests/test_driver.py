@@ -17,10 +17,12 @@ from antimagic import (
     verify_bijection,
     vertex_sums,
 )
-from antimagic.fileio import format_labeling
+from antimagic.cli import main
+from antimagic.fileio import format_instance, format_labeling
 from antimagic.sweep import check_instance
 from antimagic.labelers import SPECIAL_INSTANCE_ASSIGNMENT
 from antimagic.labelers import SPECIAL_INSTANCE
+from antimagic.trees import make_tree
 
 
 def test_special_instance_routed_to_fixed_labeling():
@@ -163,6 +165,26 @@ def test_sweep_materializes_and_verifies_once(spec, monkeypatch):
     if rec.tag is CaseTag.UNEQUAL_ODD_RIGHT:
         # once, inside the one materialization; the record reads its m and tag
         assert len(derived) == 1
+
+
+@pytest.mark.parametrize("spec", ROUTE_SPECS)
+def test_label_and_verify_build_no_tree(spec, monkeypatch, tmp_path):
+    built = count_calls(monkeypatch, make_tree, ("spiders",))
+    assert strongly_antimagic_label(spec).report.strong_ok
+    assert check_instance(canonicalize(spec)).ok
+    inst, lab = tmp_path / "inst.txt", tmp_path / "inst.lab"
+    inst.write_text(format_instance(spec))
+    assert main(["label", "--spec", str(inst), "--out", str(lab), "--dot", str(tmp_path / "inst.dot"),
+                 "--trace", str(tmp_path / "inst.trace")]) == 0
+    assert main(["verify", "--spec", str(inst), "--labeling", str(lab), "--strong"]) == 0
+    assert built == []
+
+
+def test_oracle_cross_check_builds_one_tree(monkeypatch):
+    built = count_calls(monkeypatch, make_tree, ("spiders",))
+    c = canonicalize(ROUTE_SPECS[0])
+    assert check_instance(c, oracle_max=c.total_edges).ok
+    assert len(built) == 1
 
 
 def _labeling_digest(specs):

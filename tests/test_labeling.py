@@ -228,6 +228,9 @@ def test_report_matches_quadratic_reference(case):
     rep = vertex_sums(spider.tree, labels)
     ref = reference_report(spider.tree, labels)
     assert {k: getattr(rep, k) for k in ref} == ref
+    # the address-keyed path walks the spider's edge map and builds no Tree
+    addressed = EdgeLabeling(spider.params.m, {a: labels[e] for a, e in spider.edge_of.items()})
+    assert {k: getattr(vertex_sums(spider, addressed), k) for k in ref} == ref
     if rep.bijection_ok:
         sums, deg = ref["sums"], spider.tree.degree
         order = [v for vs in ref["degree_classes"].values() for v in vs]

@@ -19,6 +19,7 @@ from antimagic import (
     parse_address,
 )
 from antimagic.labelers import SPECIAL_INSTANCE
+from antimagic.spiders import KIND_CORE
 
 
 def spec(core, left, right):
@@ -150,15 +151,17 @@ def test_materialize_hub_degrees():
 
 
 def test_materialize_address_bijection():
-    for c in enumerate_instances(9):
+    for c in enumerate_instances(12):
         sp = materialize_tree(c)
         addrs = expected_addresses(sp.params)
         assert len(addrs) == sp.params.m
-        assert set(addrs) == set(sp.edge_of)
+        # addresses sort as tuples into the labeling file's order
+        assert sorted(sp.edge_of) == addrs
         assert len(set(sp.edge_of.values())) == sp.params.m
         assert tuple(sp.edge_of.values()) == sp.tree.edges
+        assert sp.tree.vertices == sp.vertices
         # a path edge's far end is the vertex named by its address
-        assert all(a.text in e for a, e in sp.edge_of.items() if a.kind != "core")
+        assert all(a.text in e for a, e in sp.edge_of.items() if a.kind != KIND_CORE)
         high = sorted(v for v in sp.tree.vertices if sp.tree.degree(v) >= 3)
         assert high == ["vl", "vr"]
         assert sp.tree.degree("vl") >= sp.tree.degree("vr")
