@@ -24,6 +24,7 @@ from .spiders import (
     CanonicalDoubleSpider,
     EdgeAddress,
     InvalidSpider,
+    derive_parameters,
     materialize_tree,
     pendant_paths,
 )
@@ -103,7 +104,7 @@ def add_unit_path(c: CanonicalDoubleSpider, side: str, count: int = 1) -> Canoni
 
 def _ranked_paths(c: CanonicalDoubleSpider) -> list[tuple[str, list[EdgeAddress]]]:
     """The pendant paths by hub, shortest first; a leaf extension keeps this order."""
-    return sorted(pendant_paths(c.left_lengths, c.right_lengths),
+    return sorted(pendant_paths(derive_parameters(c)),
                   key=lambda hub_path: (hub_path[0], len(hub_path[1])))
 
 
@@ -241,8 +242,8 @@ def insert_unit_path(lt: LabeledSpider, side: str) -> LabeledSpider:
     """Add a unit path at a hub: the new edge gets 1, everything shifts by 1.
 
     Right insertion needs the right hub to reach degree > 3 without passing
-    the left one; left insertion needs the left hub to stay strictly ahead in
-    degree and to already carry the larger vertex sum.
+    the left one; left insertion needs the left hub, which never trails in
+    degree on a canonical instance, to already carry the larger vertex sum.
     """
     _check_side(side)
     if not isinstance(lt, LabeledSpider):
@@ -254,11 +255,8 @@ def insert_unit_path(lt: LabeledSpider, side: str) -> LabeledSpider:
     if side == "right":
         if p.deg_vl < p.deg_vr + 1:
             raise CompositionError("right insertion would push deg(vr) past deg(vl)")
-    else:
-        if p.deg_vl + 1 <= p.deg_vr:
-            raise CompositionError("left insertion needs deg(vl)+1 > deg(vr)")
-        if lt.report.sums[HUB_LEFT] <= lt.report.sums[HUB_RIGHT]:
-            raise CompositionError("left insertion needs phi(vl) > phi(vr)")
+    elif lt.report.sums[HUB_LEFT] <= lt.report.sums[HUB_RIGHT]:
+        raise CompositionError("left insertion needs phi(vl) > phi(vr)")
 
     return _verified(insert_unit_paths(lt.spider.instance, lt.labeling, side, 1),
                      "unit-path insertion")

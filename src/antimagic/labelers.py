@@ -12,7 +12,6 @@ events into a labeling and verifies it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .labeling import EdgeLabeling, LabeledSpider, labeled_spider
@@ -20,12 +19,14 @@ from .spiders import (
     CanonicalDoubleSpider,
     EdgeAddress,
     Parameters,
+    derive_parameters,
     materialize_tree,
 )
 
 # The one instance whose shape fits the two-path right-hub rules but whose
 # step execution ties the hub sums; it gets a fixed hand-built labeling.
 SPECIAL_INSTANCE = CanonicalDoubleSpider(2, (1, 3), (1, 1))
+_SPECIAL_PARAMETERS = derive_parameters(SPECIAL_INSTANCE)
 
 
 class UnsupportedCase(ValueError):
@@ -42,14 +43,13 @@ class StepEvent(NamedTuple):
 
 
 def _odds(lo: int, hi: int) -> range:
-    """Odd integers in [lo, hi]; empty when hi < lo."""
-    start = lo if lo % 2 == 1 else lo + 1
-    return range(start, hi + 1, 2)
+    """Odd integers in [lo, hi] for an odd lo; empty when hi < lo."""
+    return range(lo, hi + 1, 2)
 
 
 def _evens(lo: int, hi: int) -> range:
-    start = lo if lo % 2 == 0 else lo + 1
-    return range(start, hi + 1, 2)
+    """Even integers in [lo, hi] for an even lo; empty when hi < lo."""
+    return range(lo, hi + 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -138,14 +138,10 @@ def is_type_a(p: Parameters) -> bool:
     return p.a == 2 and p.b == 0 and p.x == (0, 0) and p.t == 2 and p.c == 0 and p.d == 0
 
 
-def _check_type_a(p: Parameters) -> None:
-    if not is_type_a(p):
-        raise UnsupportedCase("type (a) needs two unit paths on each side and nothing else")
-
-
 def type_a_steps(p: Parameters) -> list[StepEvent]:
     """Closed-form labeling for the two-units-per-side case."""
-    _check_type_a(p)
+    if not is_type_a(p):
+        raise UnsupportedCase("type (a) needs two unit paths on each side and nothing else")
     s = p.s
     odd = s % 2 == 1
     right = [EdgeAddress.r_odd(1, 1), EdgeAddress.r_odd(2, 1)]
@@ -163,52 +159,33 @@ def type_a_steps(p: Parameters) -> list[StepEvent]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TypeBCContext:
-    """Bookkeeping for the eleven-step labeler.
+def _type_bc_entry(p: Parameters) -> tuple[int, int]:
+    """Check the entry conditions of the eleven-step labeler; return (k, t').
 
-    k is the length of the non-designated right path; t_prime switches the
+    k is the length of the non-designated right path; t' switches the
     Step-5 ordering.
     """
-
-    k: int
-    t_prime: int
-
-    @classmethod
-    def from_parameters(cls, p: Parameters) -> "TypeBCContext":
-        _check_type_bc_shape(p)
-        if p.b == 1:
-            k = 2 * p.y[0]
-        else:
-            k = 2 * p.x[1] + 1
-        t_prime = 1 if (p.t == 1 and p.d == 1) or (
-            p.t == 1 and p.s == 2 and p.c == 1 and p.w and p.w[0] == 1 and k >= 2
-        ) else 0
-        ctx = cls(k=k, t_prime=t_prime)
-        assert k // 2 + p.c + (-1 if p.c >= 1 else 0) + sum(p.z) + p.t >= 1
-        if t_prime == 1:
-            assert k // 2 + sum(p.z) >= 1
-        return ctx
-
-
-def _check_type_bc_shape(p: Parameters) -> None:
     if p.deg_vr != 3 or p.a + p.b != 2 or p.a < 1 or p.x[0] != 0:
         raise UnsupportedCase("types (b)/(c) need a degree-3 right hub with a unit path")
-
-
-def _check_type_bc(p: Parameters, ctx: TypeBCContext) -> None:
     if p.t > 1:
         raise UnsupportedCase("types (b)/(c) allow at most one unit path on the left")
     if p.t == 1 and p.deg_vl != 3:
         raise UnsupportedCase("a left unit path is only allowed when both hubs have degree 3")
-    if ctx.k == 1 and p.t == 1 and p.c == 1 and p.d == 0 and p.w[0] == 1 and p.s == 2:
+    if p == _SPECIAL_PARAMETERS:
         raise UnsupportedCase("this is the special instance with its own fixed labeling")
+    k = 2 * p.y[0] if p.b == 1 else 2 * p.x[1] + 1
+    t_prime = 1 if (p.t == 1 and p.d == 1) or (
+        p.t == 1 and p.s == 2 and p.c == 1 and p.w[0] == 1 and k >= 2
+    ) else 0
+    assert k // 2 + p.c + (-1 if p.c >= 1 else 0) + sum(p.z) + p.t >= 1
+    if t_prime == 1:
+        assert k // 2 + sum(p.z) >= 1
+    return k, t_prime
 
 
 def type_bc_steps(p: Parameters) -> list[StepEvent]:
-    ctx = TypeBCContext.from_parameters(p)
-    _check_type_bc(p, ctx)
-    k, c = ctx.k, p.c
+    k, t_prime = _type_bc_entry(p)
+    c = p.c
 
     def pk(j: int) -> EdgeAddress:
         return EdgeAddress.r_odd(2, j) if k % 2 == 1 else EdgeAddress.r_even(1, j)
@@ -229,7 +206,7 @@ def type_bc_steps(p: Parameters) -> list[StepEvent]:
     _even_left_odd_edges(ev, 4, p)
 
     # Step 5: the right unit edge and the left unit edge, order set by t'.
-    if ctx.t_prime == 1:
+    if t_prime == 1:
         _next_block(ev, 5, [EdgeAddress.r_odd(1, 1), EdgeAddress.l_unit(1)])
     else:
         _next_block(ev, 5, [EdgeAddress.l_unit(1)] * p.t + [EdgeAddress.r_odd(1, 1)])
@@ -357,27 +334,6 @@ def odd_right_steps(p: Parameters) -> list[StepEvent]:
 # The same rule covers s = 2.
 
 
-@dataclass(frozen=True)
-class EvenCaseContext:
-    """Switch bookkeeping for the nineteen-step labeler.
-
-    alpha counts the even right paths whose edge order is switched so vl
-    keeps the larger vertex sum; beta of them are paths of length exactly 2.
-    """
-
-    alpha: int
-    beta: int
-
-    @classmethod
-    def from_parameters(cls, p: Parameters) -> "EvenCaseContext":
-        _check_even_right(p)
-        alpha = max(0, (p.b - 1) - (p.c + p.d))
-        beta = min(alpha, p.y.count(1))
-        if alpha > 0:
-            assert p.t > p.a + 1 + alpha > beta
-        return cls(alpha=alpha, beta=beta)
-
-
 def _check_even_right(p: Parameters) -> None:
     if not (p.deg_vl > p.deg_vr >= 3 and p.b >= 1):
         raise UnsupportedCase("even-right labeler needs an even path on the right")
@@ -390,15 +346,25 @@ def needs_hub_gap_repair(p: Parameters) -> bool:
 
 
 def even_right_steps(p: Parameters) -> list[StepEvent]:
-    ctx = EvenCaseContext.from_parameters(p)
-    if needs_hub_gap_repair(p):
-        return _hub_gap_repair_events(p, ctx)
-    return _even_right_printed(p, ctx)
+    """The nineteen printed steps; the hub-gap family then reverses R/even/1."""
+    _check_even_right(p)
+    # alpha counts the even right paths whose edge order is switched so vl
+    # keeps the larger vertex sum; beta of them are paths of length exactly 2.
+    alpha = max(0, (p.b - 1) - (p.c + p.d))
+    beta = min(alpha, p.y.count(1))
+    if alpha > 0:
+        assert p.t > p.a + 1 + alpha > beta
+    events = _even_right_printed(p, alpha, beta)
+    if not needs_hub_gap_repair(p):
+        return events
+    n = 2 * p.y[0] + 1
+    return [StepEvent(ev.step, EdgeAddress.r_even(1, n - ev.address.j), ev.label)
+            if ev.address == EdgeAddress.r_even(1, ev.address.j) else ev
+            for ev in events]
 
 
-def _even_right_printed(p: Parameters, ctx: EvenCaseContext) -> list[StepEvent]:
+def _even_right_printed(p: Parameters, alpha: int, beta: int) -> list[StepEvent]:
     a, b, t = p.a, p.b, p.t
-    alpha, beta = ctx.alpha, ctx.beta
     switched = range(beta + 1, alpha + 1)
     unswitched = range(alpha + 1, b)
     y_b = p.y[b - 1]
@@ -473,11 +439,3 @@ def _even_right_printed(p: Parameters, ctx: EvenCaseContext) -> list[StepEvent]:
     # Step 19: remaining core edges.
     _last_core(ev, 19, p)
     return ev
-
-
-def _hub_gap_repair_events(p: Parameters, ctx: EvenCaseContext) -> list[StepEvent]:
-    """The printed labeling with path R/even/1 reversed (see the note above)."""
-    n = 2 * p.y[0] + 1
-    return [StepEvent(ev.step, EdgeAddress.r_even(1, n - ev.address.j), ev.label)
-            if ev.address == EdgeAddress.r_even(1, ev.address.j) else ev
-            for ev in _even_right_printed(p, ctx)]

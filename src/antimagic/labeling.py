@@ -124,10 +124,10 @@ def vertex_sums(tree: Tree | SpiderTree, labeling) -> VertexSumReport:
         edges, m = tree.edge_of.values(), labeling.total_edges
         labels = list(map(labeling.assignment.__getitem__, tree.edge_of))
     else:
-        keyed = {edge_key(u, v): lab for (u, v), lab in labeling.items()}
-        if keyed.keys() != set(tree.edges):
+        labeling = {edge_key(u, v): lab for (u, v), lab in labeling.items()}
+        if labeling.keys() != set(tree.edges):
             raise LabelingError("labeling does not cover exactly the tree's edges")
-        edges, labels, m = keyed.keys(), keyed.values(), len(keyed)
+        edges, labels, m = labeling.keys(), labeling.values(), len(labeling)
 
     vertices = tree.vertices
     sums = dict.fromkeys(vertices, 0)
@@ -138,7 +138,7 @@ def vertex_sums(tree: Tree | SpiderTree, labeling) -> VertexSumReport:
         degrees[u] += 1
         degrees[v] += 1
 
-    bijection_ok = sorted(labels) == list(range(1, m + 1))
+    bijection_ok = verify_bijection(labeling)
     if bijection_ok:
         assert sum(sums.values()) == m * (m + 1)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 from .trees import Edge, Tree, edge_key, make_tree
 
@@ -242,27 +242,26 @@ HUB_LEFT = "vl"
 HUB_RIGHT = "vr"
 
 
-def pendant_paths(left_lengths: Sequence[int],
-                  right_lengths: Sequence[int]) -> list[tuple[str, list[EdgeAddress]]]:
+def pendant_paths(p: Parameters) -> list[tuple[str, list[EdgeAddress]]]:
     """Every pendant path as (hub, edge addresses from the hub outward).
 
     Paths come class by class (R/odd, R/even, L/odd, L/even, L/unit) and, in
-    a class, by index i, which counts the class's lengths in the order given
-    (ascending on a canonical instance).  On right paths j grows from the hub;
-    on left paths it falls to the pendant edge's j = 1.
+    a class, by index i, in the ascending order of the parity split.  On
+    right paths j grows from the hub; on left paths it falls to the pendant
+    edge's j = 1.
     """
     classes = (
-        (HUB_RIGHT, KIND_R_ODD, [l for l in right_lengths if l % 2]),
-        (HUB_RIGHT, KIND_R_EVEN, [l for l in right_lengths if l % 2 == 0]),
-        (HUB_LEFT, KIND_L_ODD, [l for l in left_lengths if l % 2 and l > 1]),
-        (HUB_LEFT, KIND_L_EVEN, [l for l in left_lengths if l % 2 == 0]),
+        (HUB_RIGHT, KIND_R_ODD, [2 * xi + 1 for xi in p.x]),
+        (HUB_RIGHT, KIND_R_EVEN, [2 * yi for yi in p.y]),
+        (HUB_LEFT, KIND_L_ODD, [2 * wi + 1 for wi in p.w]),
+        (HUB_LEFT, KIND_L_EVEN, [2 * zi for zi in p.z]),
     )
     out = []
     for hub, kind, lengths in classes:
         for i, l in enumerate(lengths, start=1):
             js = range(1, l + 1) if hub == HUB_RIGHT else range(l, 0, -1)
             out.append((hub, [EdgeAddress(kind, i, j) for j in js]))
-    out.extend((HUB_LEFT, [EdgeAddress.l_unit(i)]) for i in range(1, left_lengths.count(1) + 1))
+    out.extend((HUB_LEFT, [EdgeAddress.l_unit(i)]) for i in range(1, p.t + 1))
     return out
 
 
@@ -301,7 +300,7 @@ def materialize_tree(c: CanonicalDoubleSpider) -> SpiderTree:
     edge_of: dict[EdgeAddress, Edge] = {}
     for j in range(1, p.s + 1):
         edge_of[EdgeAddress.core(j)] = edge_key(core_chain[j - 1], core_chain[j])
-    for hub, path in pendant_paths(c.left_lengths, c.right_lengths):
+    for hub, path in pendant_paths(p):
         near = hub
         for addr in path:
             far = addr.text

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -18,12 +17,6 @@ class SweepRecord:
     tag: CaseTag
     ok: bool
     detail: str
-    elapsed: float
-
-    @property
-    def key(self) -> tuple:
-        # Everything that determinism guarantees; elapsed is measurement noise.
-        return (self.instance, self.m, self.tag, self.ok, self.detail)
 
 
 @dataclass(frozen=True)
@@ -50,7 +43,6 @@ def check_instance(c: CanonicalDoubleSpider, oracle_max: int | None = None) -> S
     The driver verifies what it returns and raises ConstructionBug, naming
     the first violation, on a failure; the oracle is the independent check.
     """
-    start = time.perf_counter()
     ok, detail = True, ""
     try:
         lt = strongly_antimagic_label(c)
@@ -62,7 +54,7 @@ def check_instance(c: CanonicalDoubleSpider, oracle_max: int | None = None) -> S
     except Exception as exc:  # a construction bug, not a property failure
         ok, detail = False, f"{type(exc).__name__}: {exc}"
         p = derive_parameters(c)  # so a failed record still names m and its tag
-    return SweepRecord(c, p.m, classify(p), ok, detail, time.perf_counter() - start)
+    return SweepRecord(c, p.m, classify(p), ok, detail)
 
 
 def _check_star(args: tuple[CanonicalDoubleSpider, int | None]) -> SweepRecord:
@@ -83,7 +75,7 @@ def run_sweep(max_edges: int, oracle_max: int | None = None, workers: int = 1) -
 
 
 def format_report(report: SweepReport) -> str:
-    """Render the sweep report; timings are left out so the text stays run-stable."""
+    """Render the sweep report; the text is run-stable."""
     lines = [f"max_edges = {report.max_edges}", f"instances = {report.total}",
              f"failures = {len(report.failures)}"]
     for r in report.records:

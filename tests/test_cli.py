@@ -301,4 +301,4 @@ def test_sweep_workers_match_sequential():
     from antimagic.sweep import run_sweep
     seq = run_sweep(8)
     par = run_sweep(8, workers=2)
-    assert [r.key for r in seq.records] == [r.key for r in par.records]
+    assert seq.records == par.records

@@ -202,6 +202,12 @@ def test_delete_leaf_level_rejects_unit_paths():
         delete_leaf_level(canonicalize(DoubleSpiderSpec(1, (2, 1), (1, 1))))
 
 
+def test_delete_leaf_level_rejects_deleting_a_whole_path():
+    # levels equal to the shortest length: the move's own check, not the constructor's
+    with pytest.raises(InvalidSpider, match="a unit path would vanish"):
+        delete_leaf_level(CanonicalDoubleSpider(1, (3, 4), (3, 5)), 3)
+
+
 def test_remove_unit_path_rejects_unknown_side():
     c = CanonicalDoubleSpider(1, (1, 1, 2), (1, 1, 3))
     with pytest.raises(ValueError, match="side must be 'left' or 'right'"):

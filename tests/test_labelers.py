@@ -9,8 +9,6 @@ from antimagic import (
     CaseTag,
     DoubleSpiderSpec,
     EdgeAddress,
-    EvenCaseContext,
-    TypeBCContext,
     UnsupportedCase,
     canonicalize,
     classify,
@@ -29,6 +27,7 @@ from antimagic.labelers import (
 )
 from antimagic import driver, labelers
 from antimagic.labelers import SPECIAL_INSTANCE
+from antimagic.spiders import KIND_R_EVEN
 
 
 def params(core, left, right):
@@ -42,7 +41,7 @@ def pendant_addresses(c):
 
 
 def label(core, left, right):
-    # every instance below goes straight to one labeler with its default context
+    # every instance below goes straight to one labeler
     return strongly_antimagic_label(DoubleSpiderSpec(core, tuple(left), tuple(right)))
 
 
@@ -120,8 +119,8 @@ def test_type_c_exact():
 def test_type_b_t_prime_consecutive():
     # t=1, d=1 forces the right unit edge directly before the left unit edge
     p = params(2, [2, 1], [1, 1])
-    ctx = TypeBCContext.from_parameters(p)
-    assert ctx.t_prime == 1
+    step5 = [ev.address for ev in type_bc_steps(p) if ev.step == 5]
+    assert step5 == [EdgeAddress.r_odd(1, 1), EdgeAddress.l_unit(1)]  # t' = 1
     lab = label(2, [2, 1], [1, 1]).labeling.assignment
     assert lab[EdgeAddress.l_unit(1)] == lab[EdgeAddress.r_odd(1, 1)] + 1
     check_strong(2, [2, 1], [1, 1])
@@ -133,10 +132,20 @@ def test_type_bc_rejects_special_instance():
         type_bc_steps(p)
 
 
+def test_type_bc_rejects_two_left_units():
+    with pytest.raises(UnsupportedCase, match="at most one unit path"):
+        type_bc_steps(params(1, [1, 1, 2], [1, 2]))
+
+
+def test_type_bc_left_unit_needs_degree_3_hubs():
+    with pytest.raises(UnsupportedCase, match="only allowed when both hubs have degree 3"):
+        type_bc_steps(params(1, [1, 2, 2], [1, 2]))
+
+
 def test_type_bc_even_k():
     p = params(1, [2, 1], [2, 1])
-    ctx = TypeBCContext.from_parameters(p)
-    assert ctx.k == 2
+    step1 = [ev.address for ev in type_bc_steps(p) if ev.step == 1]
+    assert step1 == [EdgeAddress.r_even(1, 2)]  # k = 2
     check_strong(1, [2, 1], [2, 1])
 
 
@@ -242,10 +251,16 @@ def test_odd_right_hub_anchor():
 
 # --- even-right --------------------------------------------------------------
 
+def switch_counts(p):
+    """(alpha, beta) as the events show them: beta Step-1 hub edges, alpha - beta in Step 8."""
+    events = even_right_steps(p)
+    beta = sum(1 for ev in events if ev.step == 1 and ev.address.kind == KIND_R_EVEN)
+    return beta + sum(1 for ev in events if ev.step == 8), beta
+
+
 def test_even_right_exact():
     p = params(1, [1, 1, 1], [2, 1])
-    ctx = EvenCaseContext.from_parameters(p)
-    assert (ctx.alpha, ctx.beta) == (0, 0)
+    assert switch_counts(p) == (0, 0)
     lab = label(1, [1, 1, 1], [2, 1]).labeling.assignment
     assert lab[EdgeAddress.r_odd(1, 1)] == 1
     assert [lab[EdgeAddress.r_even(1, j)] for j in (1, 2)] == [6, 2]
@@ -258,16 +273,14 @@ def test_even_right_exact():
 def test_even_right_interleave_when_beta_positive():
     # one switched length-2 path
     p = params(1, [1, 1, 1], [2, 4])
-    ctx = EvenCaseContext.from_parameters(p)
-    assert ctx.beta == 1
+    assert switch_counts(p)[1] == 1
     lab = label(1, [1, 1, 1], [2, 4]).labeling.assignment
     assert lab[EdgeAddress.r_even(1, 1)] == 1
     check_strong(1, [1, 1, 1], [2, 4])
 
     # three switched length-2 paths interleaved with two units
     p = params(1, [1, 1, 1, 1, 1], [2, 2, 2, 4])
-    ctx = EvenCaseContext.from_parameters(p)
-    assert ctx.beta == 3
+    assert switch_counts(p)[1] == 3
     lab = label(1, [1, 1, 1, 1, 1], [2, 2, 2, 4]).labeling.assignment
     assert [lab[EdgeAddress.r_even(i, 1)] for i in (1, 2, 3)] == [1, 3, 5]
     assert [lab[EdgeAddress.l_unit(i)] for i in (1, 2)] == [2, 4]
@@ -284,8 +297,7 @@ def test_even_right_switched_longer_paths():
         "L/unit/1": 7, "L/unit/2": 8, "L/unit/3": 9, "L/unit/4": 10,
     }
     p = params(1, [1, 1, 1, 1], [4, 4, 4])
-    ctx = EvenCaseContext.from_parameters(p)
-    assert (ctx.alpha, ctx.beta) == (2, 0)
+    assert switch_counts(p) == (2, 0)
     lab = label(1, [1, 1, 1, 1], [4, 4, 4]).labeling.assignment
     assert {a.text: v for a, v in lab.items()} == frozen
     check_strong(1, [1, 1, 1, 1], [4, 4, 4])
@@ -294,8 +306,7 @@ def test_even_right_switched_longer_paths():
 def test_even_right_second_clause():
     # b-1 > alpha: an unswitched non-top even path exists
     p = params(1, [2, 1, 1, 1], [2, 4, 4])
-    ctx = EvenCaseContext.from_parameters(p)
-    assert ctx.alpha == 1 and ctx.beta == 1 and p.b == 3
+    assert switch_counts(p) == (1, 1) and p.b == 3
     check_strong(1, [2, 1, 1, 1], [2, 4, 4])
 
 
