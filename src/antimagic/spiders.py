@@ -10,6 +10,7 @@ case classification, and exhaustive enumeration by edge budget.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -51,7 +52,7 @@ class DoubleSpiderSpec:
 
 
 @dataclass(frozen=True)
-class CanonicalDoubleSpider:
+class CanonicalDoubleSpider(DoubleSpiderSpec):
     """Oriented instance: the left hub carries at least as many paths.
 
     Lengths are stored ascending on both sides.  Instances coming out of
@@ -62,29 +63,12 @@ class CanonicalDoubleSpider:
     legitimately build equal-count instances in their construction order.
     """
 
-    core_length: int
-    left_lengths: tuple[int, ...]
-    right_lengths: tuple[int, ...]
     swapped: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "left_lengths", _lengths(self.left_lengths))
-        object.__setattr__(self, "right_lengths", _lengths(self.right_lengths))
-        if self.core_length < 1:
-            raise InvalidSpider("core length must be >= 1")
-        for lengths in (self.left_lengths, self.right_lengths):
-            if len(lengths) < 2 or any(l < 1 for l in lengths):
-                raise InvalidSpider("each side needs >= 2 paths of positive length")
+        super().__post_init__()
         if len(self.left_lengths) < len(self.right_lengths):
             raise InvalidSpider("the left hub must carry at least as many paths")
-
-    @property
-    def total_edges(self) -> int:
-        return self.core_length + sum(self.left_lengths) + sum(self.right_lengths)
-
-    @property
-    def sort_key(self) -> tuple:
-        return (self.total_edges, self.core_length, self.right_lengths, self.left_lengths)
 
     @property
     def text(self) -> str:
@@ -104,7 +88,7 @@ def _oriented_ok(left: tuple[int, ...], right: tuple[int, ...]) -> bool:
     return right <= left
 
 
-def canonicalize(spec: DoubleSpiderSpec | CanonicalDoubleSpider) -> CanonicalDoubleSpider:
+def canonicalize(spec: DoubleSpiderSpec) -> CanonicalDoubleSpider:
     """Apply the orientation rule; idempotent on already-canonical instances."""
     if isinstance(spec, CanonicalDoubleSpider):
         return spec
@@ -352,29 +336,19 @@ def _ascending_partitions(total: int, min_part: int = 1) -> tuple[tuple[int, ...
     return tuple(out)
 
 
-def _side_partitions(total: int) -> list[tuple[int, ...]]:
-    return [p for p in _ascending_partitions(total) if len(p) >= 2]
-
-
 def enumerate_instances(max_edges: int) -> Iterator[CanonicalDoubleSpider]:
     """Yield every canonical double spider with at most max_edges edges.
 
     Order: ascending edge count, then lexicographic on (core length, right
     lengths, left lengths).  Each unlabeled-tree isomorphism class appears
-    exactly once.
+    exactly once.  The order comes by construction: each sum's partitions
+    are already lexicographic, so merging them orders the right sides.
     """
     for m in range(MIN_EDGES, max_edges + 1):
-        batch: list[CanonicalDoubleSpider] = []
         for s in range(1, m - 3):
-            for right_sum in range(2, m - s - 1):
-                left_sum = m - s - right_sum
-                if left_sum < 2:
+            for right in heapq.merge(*map(_ascending_partitions, range(2, m - s - 1))):
+                if len(right) < 2:
                     continue
-                for right in _side_partitions(right_sum):
-                    for left in _side_partitions(left_sum):
-                        if len(left) >= len(right) and _oriented_ok(left, right):
-                            batch.append(CanonicalDoubleSpider(s, left, right))
-        batch.sort(key=lambda c: c.sort_key)
-        yield from batch
-
-
+                for left in _ascending_partitions(m - s - sum(right)):
+                    if _oriented_ok(left, right):
+                        yield CanonicalDoubleSpider(s, left, right)

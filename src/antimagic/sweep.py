@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 from .driver import strongly_antimagic_label
 from .oracle import SearchBudget, find_strongly_antimagic
@@ -57,21 +58,17 @@ def check_instance(c: CanonicalDoubleSpider, oracle_max: int | None = None) -> S
     return SweepRecord(c, p.m, classify(p), ok, detail)
 
 
-def _check_star(args: tuple[CanonicalDoubleSpider, int | None]) -> SweepRecord:
-    return check_instance(*args)
-
-
 def run_sweep(max_edges: int, oracle_max: int | None = None, workers: int = 1) -> SweepReport:
     """Certify every instance with at most max_edges edges, in canonical order."""
     if max_edges < 5:
         raise ValueError("max_edges must be at least 5")
-    instances = list(enumerate_instances(max_edges))
+    stream = enumerate_instances(max_edges), repeat(oracle_max)
     if workers <= 1:
-        records = [check_instance(c, oracle_max) for c in instances]
+        records = tuple(map(check_instance, *stream))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_check_star, [(c, oracle_max) for c in instances], chunksize=16))
-    return SweepReport(max_edges=max_edges, records=tuple(records))
+            records = tuple(pool.map(check_instance, *stream, chunksize=16))
+    return SweepReport(max_edges=max_edges, records=records)
 
 
 def format_report(report: SweepReport) -> str:

@@ -214,6 +214,12 @@ def test_remove_unit_path_rejects_unknown_side():
         remove_unit_path(c, "Left")
 
 
+def test_remove_unit_path_rejects_missing_units():
+    c = CanonicalDoubleSpider(1, (1, 2, 2), (1, 1))
+    with pytest.raises(InvalidSpider, match="not enough unit paths on the left side"):
+        remove_unit_path(c, "left", 2)
+
+
 def test_unit_path_moves_reject_unknown_side():
     c = CanonicalDoubleSpider(1, (1, 1, 1, 2), (1, 3))
     lt = strongly_antimagic_label(c)

@@ -56,6 +56,22 @@ def test_vertex_sums_rejects_mismatched_edges():
         vertex_sums(path_tree(3), path_labels(1))
 
 
+def test_vertex_sums_rejects_mismatched_pairing():
+    spider, labeling = special()
+    with pytest.raises(LabelingError, match="address-keyed labeling needs"):
+        vertex_sums(path_tree(3), labeling)
+    with pytest.raises(LabelingError, match="address-keyed labeling needs"):
+        vertex_sums(spider, {spider.edge_of[a]: lab for a, lab in labeling.assignment.items()})
+
+
+def test_vertex_sums_rejects_labeling_missing_an_address():
+    spider, labeling = special()
+    partial = dict(labeling.assignment)
+    del partial[EdgeAddress.core(1)]
+    with pytest.raises(LabelingError, match="cover exactly the instance's edges"):
+        vertex_sums(spider, EdgeLabeling(8, partial))
+
+
 def test_verify_bijection():
     assert verify_bijection({("a", "b"): 1, ("b", "c"): 2, ("c", "d"): 3})
     assert not verify_bijection({("a", "b"): 1, ("b", "c"): 1, ("c", "d"): 3})

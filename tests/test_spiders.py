@@ -75,8 +75,14 @@ def test_canonicalize_preserves_structure(core, left, right):
     (1, (1, 1), (1, -2)),
 ])
 def test_invalid_specs_rejected(core, left, right):
-    with pytest.raises(InvalidSpider):
-        DoubleSpiderSpec(core, left, right)
+    for make in (DoubleSpiderSpec, CanonicalDoubleSpider):
+        with pytest.raises(InvalidSpider):
+            make(core, left, right)
+
+
+def test_canonical_rejects_more_right_paths():
+    with pytest.raises(InvalidSpider, match="at least as many paths"):
+        CanonicalDoubleSpider(1, (1, 1), (1, 1, 1))
 
 
 # --- derive_parameters ----------------------------------------------------
@@ -250,8 +256,8 @@ def test_enumerate_matches_independent_generator():
 
 
 def test_enumerate_order_is_documented_key():
-    items = list(enumerate_instances(9))
-    keys = [c.sort_key for c in items]
+    keys = [(c.total_edges, c.core_length, c.right_lengths, c.left_lengths)
+            for c in enumerate_instances(12)]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
 
