@@ -1,13 +1,15 @@
 """Step-by-step constructive labelers for the four double spider cases.
 
 Each labeler walks a fixed sequence of steps, assigning 1..m to edge
-addresses; steps whose index ranges are empty are skipped.  Every step takes
-the next block of labels, those just above the earlier steps' labels, rising
-or falling in the order it emits its edges; only the even-right labeler's
-Step 1, which interleaves 2i - 1 and 2i, writes its labels out.  The step events
-are kept so callers can audit exactly which step placed which label.  Each
-labeler has one entry point, its ``*_steps`` function; the driver turns the
-events into a labeling and verifies it.
+addresses; steps whose slices are empty are skipped.  A step takes every
+other edge, or one end edge, of some path rows, which are built once from
+the layout in spiders.pendant_paths.  Every step takes the next block of
+labels, those just above the earlier steps' labels, rising or falling in the
+order it emits its edges; only the even-right labeler's Step 1, which
+interleaves 2i - 1 and 2i, writes its labels out.  The step events are kept
+so callers can audit exactly which step placed which label.  Each labeler
+has one entry point, its ``*_steps`` function; the driver turns the events
+into a labeling and verifies it.
 """
 
 from __future__ import annotations
@@ -16,11 +18,15 @@ from typing import NamedTuple
 
 from .labeling import EdgeLabeling, LabeledSpider, labeled_spider
 from .spiders import (
+    HUB_RIGHT,
+    KIND_L_UNIT,
+    KIND_NAMES,
     CanonicalDoubleSpider,
     EdgeAddress,
     Parameters,
     derive_parameters,
     materialize_tree,
+    pendant_paths,
 )
 
 # The one instance whose shape fits the two-path right-hub rules but whose
@@ -42,20 +48,33 @@ class StepEvent(NamedTuple):
         return f"step={self.step} edge={self.address.text} label={self.label}"
 
 
-def _odds(lo: int, hi: int) -> range:
-    """Odd integers in [lo, hi] for an odd lo; empty when hi < lo."""
-    return range(lo, hi + 1, 2)
+def _paths(p: Parameters) -> list:
+    """The rows core, R/odd, R/even, L/odd, L/even and units, in kind order.
+
+    The core row is core/1..core/s and the units row the unit left edges.
+    Each other entry lists its class's paths, each by ascending j: right
+    paths run from vr, as pendant_paths gives them, and left paths are
+    reversed, so the pendant edge comes first and the hub edge last.
+    """
+    rows: list = [[EdgeAddress.core(j) for j in range(1, p.s + 1)]]
+    rows += [[] for _ in KIND_NAMES[1:]]
+    for hub, path in pendant_paths(p):
+        rows[path[0].kind].append(path if hub == HUB_RIGHT else path[::-1])
+    rows[KIND_L_UNIT] = [row[0] for row in rows[KIND_L_UNIT]]
+    return rows
 
 
-def _evens(lo: int, hi: int) -> range:
-    """Even integers in [lo, hi] for an even lo; empty when hi < lo."""
-    return range(lo, hi + 1, 2)
+def _every_other(rows: list[list[EdgeAddress]], start: int,
+                 stop: int | None = None) -> list[EdgeAddress]:
+    """Every other address of each row's [start:stop] slice, row by row."""
+    return [a for row in rows for a in row[start:stop:2]]
 
 
 # ---------------------------------------------------------------------------
 # Steps shared by the labelers.  Each gives its edges the next block of
 # labels through _next_block, rising or falling in the order it emits them;
-# the caller supplies only the step number.
+# the caller supplies only the step number.  The core steps carry the parity
+# rule of the core row.
 # ---------------------------------------------------------------------------
 
 
@@ -70,62 +89,29 @@ def _next_block(ev: list[StepEvent], step: int, addresses: list[EdgeAddress],
         ev.append(StepEvent(step, addr, label))
 
 
-def _inner_core(ev: list[StepEvent], step: int, p: Parameters) -> None:
+def _inner_core(ev: list[StepEvent], step: int, core: list[EdgeAddress]) -> None:
     """The core edges other than the three or four at its ends; none for s < 4."""
-    s = p.s
-    if s % 2 == 0:
-        _next_block(ev, step, [EdgeAddress.core(j) for j in _evens(2, s - 2)], falling=True)
+    if len(core) % 2 == 0:
+        _next_block(ev, step, core[1:-2:2], falling=True)
     else:
-        _next_block(ev, step, [EdgeAddress.core(j) for j in _odds(3, s - 2)])
+        _next_block(ev, step, core[2:-2:2])
 
 
-def _core_sweep(ev: list[StepEvent], step: int, p: Parameters) -> None:
+def _core_sweep(ev: list[StepEvent], step: int, core: list[EdgeAddress]) -> None:
     """Odd core edges from vr inwards (even s), or even ones outwards (odd s)."""
-    s = p.s
-    if s % 2 == 0:
-        _next_block(ev, step, [EdgeAddress.core(j) for j in _odds(1, s)], falling=True)
+    if len(core) % 2 == 0:
+        _next_block(ev, step, core[0::2], falling=True)
     else:
-        _next_block(ev, step, [EdgeAddress.core(j) for j in _evens(2, s)])
+        _next_block(ev, step, core[1::2])
 
 
-def _last_core(ev: list[StepEvent], step: int, p: Parameters) -> None:
+def _last_core(ev: list[StepEvent], step: int, core: list[EdgeAddress]) -> None:
     """core/s gets m; an odd core with s >= 3 also gives core/1 m - 1."""
-    s = p.s
+    s = len(core)
     if s % 2 == 1 and s > 1:
-        _next_block(ev, step, [EdgeAddress.core(1), EdgeAddress.core(s)])
+        _next_block(ev, step, [core[0], core[-1]])
     else:
-        _next_block(ev, step, [EdgeAddress.core(s)])
-
-
-def _even_left_odd_edges(ev: list[StepEvent], step: int, p: Parameters) -> None:
-    _next_block(ev, step, [EdgeAddress.l_even(i, j) for i in range(1, p.d + 1)
-                           for j in _odds(1, 2 * p.z[i - 1])])
-
-
-def _even_left_even_edges(ev: list[StepEvent], step: int, p: Parameters) -> None:
-    _next_block(ev, step, [EdgeAddress.l_even(i, j) for i in range(1, p.d + 1)
-                           for j in _evens(2, 2 * p.z[i - 1])])
-
-
-def _long_odd_left_odd_edges(ev: list[StepEvent], step: int, p: Parameters) -> None:
-    """Odd edges of the long odd left paths but their hub edges, which wait."""
-    _next_block(ev, step, [EdgeAddress.l_odd(i, j) for i in range(1, p.c + 1)
-                           for j in _odds(1, 2 * p.w[i - 1])])
-
-
-def _long_odd_left_even_edges(ev: list[StepEvent], step: int, p: Parameters) -> None:
-    _next_block(ev, step, [EdgeAddress.l_odd(i, j) for i in range(1, p.c + 1)
-                           for j in _evens(2, 2 * p.w[i - 1])])
-
-
-def _left_hub_edges(ev: list[StepEvent], step: int, p: Parameters) -> None:
-    """The deferred hub edges of the long odd left paths, in path order."""
-    _next_block(ev, step, [EdgeAddress.l_odd(i, 2 * p.w[i - 1] + 1) for i in range(1, p.c + 1)])
-
-
-def _odd_right_even_edges(ev: list[StepEvent], step: int, p: Parameters) -> None:
-    _next_block(ev, step, [EdgeAddress.r_odd(i, j) for i in range(1, p.a + 1)
-                           for j in _evens(2, 2 * p.x[i - 1])])
+        _next_block(ev, step, [core[-1]])
 
 
 # ---------------------------------------------------------------------------
@@ -142,15 +128,14 @@ def type_a_steps(p: Parameters) -> list[StepEvent]:
     """Closed-form labeling for the two-units-per-side case."""
     if not is_type_a(p):
         raise UnsupportedCase("type (a) needs two unit paths on each side and nothing else")
-    s = p.s
-    odd = s % 2 == 1
-    right = [EdgeAddress.r_odd(1, 1), EdgeAddress.r_odd(2, 1)]
-    left = [EdgeAddress.l_unit(1), EdgeAddress.l_unit(2)]
+    core, r_odd, _, _, _, left = _paths(p)
+    odd = p.s % 2 == 1
+    right = [row[0] for row in r_odd]
     ev: list[StepEvent] = []
-    _next_block(ev, 1, [EdgeAddress.core(j) for j in _evens(2, s)], falling=odd)
+    _next_block(ev, 1, core[1::2], falling=odd)
     _next_block(ev, 2, right if odd else left)
     _next_block(ev, 3, left if odd else right)
-    _next_block(ev, 4, [EdgeAddress.core(j) for j in _odds(1, s)], falling=odd)
+    _next_block(ev, 4, core[0::2], falling=odd)
     return ev
 
 
@@ -185,50 +170,45 @@ def _type_bc_entry(p: Parameters) -> tuple[int, int]:
 
 def type_bc_steps(p: Parameters) -> list[StepEvent]:
     k, t_prime = _type_bc_entry(p)
-    c = p.c
-
-    def pk(j: int) -> EdgeAddress:
-        return EdgeAddress.r_odd(2, j) if k % 2 == 1 else EdgeAddress.r_even(1, j)
-
+    core, r_odd, r_even, l_odd, l_even, units = _paths(p)
+    pk = r_odd[1] if k % 2 == 1 else r_even[0]
     ev: list[StepEvent] = []
 
     # Step 1: even edges of Pk.
-    _next_block(ev, 1, [pk(j) for j in _evens(2, k)], falling=True)
+    _next_block(ev, 1, pk[1::2], falling=True)
 
     # Step 2: odd edges of long odd left paths; the first path's hub edge waits.
-    _next_block(ev, 2, [EdgeAddress.l_odd(i, j) for i in range(1, c + 1)
-                        for j in _odds(1, 2 * p.w[i - 1] + (1 if i > 1 else -1))])
+    _next_block(ev, 2, _every_other(l_odd[:1], 0, -1) + _every_other(l_odd[1:], 0))
 
     # Step 3: inner core edges.
-    _inner_core(ev, 3, p)
+    _inner_core(ev, 3, core)
 
     # Step 4: odd edges of even left paths.
-    _even_left_odd_edges(ev, 4, p)
+    _next_block(ev, 4, _every_other(l_even, 0))
 
     # Step 5: the right unit edge and the left unit edge, order set by t'.
     if t_prime == 1:
-        _next_block(ev, 5, [EdgeAddress.r_odd(1, 1), EdgeAddress.l_unit(1)])
+        _next_block(ev, 5, [r_odd[0][0]] + units)
     else:
-        _next_block(ev, 5, [EdgeAddress.l_unit(1)] * p.t + [EdgeAddress.r_odd(1, 1)])
+        _next_block(ev, 5, units + [r_odd[0][0]])
 
     # Step 6: odd edges of Pk.
-    _next_block(ev, 6, [pk(j) for j in _odds(1, k)], falling=True)
+    _next_block(ev, 6, pk[0::2], falling=True)
 
     # Step 7: even edges of long odd left paths.
-    _long_odd_left_even_edges(ev, 7, p)
+    _next_block(ev, 7, _every_other(l_odd, 1))
 
     # Step 8: main core sweep.
-    _core_sweep(ev, 8, p)
+    _core_sweep(ev, 8, core)
 
     # Step 9: even edges of even left paths.
-    _even_left_even_edges(ev, 9, p)
+    _next_block(ev, 9, _every_other(l_even, 1))
 
     # Step 10: the deferred hub edge of the first long odd left path.
-    if c >= 1:
-        _next_block(ev, 10, [EdgeAddress.l_odd(1, 2 * p.w[0] + 1)])
+    _next_block(ev, 10, [row[-1] for row in l_odd[:1]])
 
     # Step 11: remaining core edges.
-    _last_core(ev, 11, p)
+    _last_core(ev, 11, core)
     return ev
 
 
@@ -269,46 +249,45 @@ def _check_odd_right(p: Parameters) -> None:
 
 def odd_right_steps(p: Parameters) -> list[StepEvent]:
     _check_odd_right(p)
-    a = p.a
+    core, r_odd, _, l_odd, l_even, units = _paths(p)
+    top = r_odd[-1]
     ev: list[StepEvent] = []
 
     # Step 1: odd edges of odd right paths; the top path's hub edge waits.
-    _next_block(ev, 1, [EdgeAddress.r_odd(i, j) for i in range(1, a)
-                        for j in _odds(1, 2 * p.x[i - 1] + 1)]
-                + [EdgeAddress.r_odd(a, j) for j in _odds(3, 2 * p.x[a - 1] + 1)])
+    _next_block(ev, 1, _every_other(r_odd[:-1], 0) + top[2::2])
 
     # Step 2: odd edges of long odd left paths; hub edges wait for Step 11.
-    _long_odd_left_odd_edges(ev, 2, p)
+    _next_block(ev, 2, _every_other(l_odd, 0, -1))
 
     # Step 3: inner core edges.
-    _inner_core(ev, 3, p)
+    _inner_core(ev, 3, core)
 
     # Step 4: odd edges of even left paths.
-    _even_left_odd_edges(ev, 4, p)
+    _next_block(ev, 4, _every_other(l_even, 0))
 
     # Step 5: unit left paths; afterwards every pendant edge is labeled.
-    _next_block(ev, 5, [EdgeAddress.l_unit(i) for i in range(1, p.t + 1)])
+    _next_block(ev, 5, units)
 
     # Step 6: even edges of odd right paths.
-    _odd_right_even_edges(ev, 6, p)
+    _next_block(ev, 6, _every_other(r_odd, 1))
 
     # Step 7: even edges of long odd left paths.
-    _long_odd_left_even_edges(ev, 7, p)
+    _next_block(ev, 7, _every_other(l_odd, 1))
 
     # Step 8: main core sweep.
-    _core_sweep(ev, 8, p)
+    _core_sweep(ev, 8, core)
 
     # Step 9: even edges of even left paths.
-    _even_left_even_edges(ev, 9, p)
+    _next_block(ev, 9, _every_other(l_even, 1))
 
     # Step 10: the deferred hub edge on the right, pushing phi(vr) up.
-    _next_block(ev, 10, [EdgeAddress.r_odd(a, 1)])
+    _next_block(ev, 10, top[:1])
 
     # Step 11: the deferred hub edges on the left, pushing phi(vl) higher.
-    _left_hub_edges(ev, 11, p)
+    _next_block(ev, 11, [row[-1] for row in l_odd])
 
     # Step 12: remaining core edges.
-    _last_core(ev, 12, p)
+    _last_core(ev, 12, core)
     return ev
 
 
@@ -346,95 +325,76 @@ def needs_hub_gap_repair(p: Parameters) -> bool:
 
 
 def even_right_steps(p: Parameters) -> list[StepEvent]:
-    """The nineteen printed steps; the hub-gap family then reverses R/even/1."""
+    """The nineteen printed steps; the hub-gap family reads R/even/1 from its leaf."""
     _check_even_right(p)
     # alpha counts the even right paths whose edge order is switched so vl
     # keeps the larger vertex sum; beta of them are paths of length exactly 2.
     # deg(vl) > deg(vr) is c + d + t > a + b, so t > a + 1 + alpha >= 1 + beta.
     alpha = max(0, (p.b - 1) - (p.c + p.d))
     beta = min(alpha, p.y.count(1))
-    events = _even_right_printed(p, alpha, beta)
-    if not needs_hub_gap_repair(p):
-        return events
-    n = 2 * p.y[0] + 1
-    return [StepEvent(ev.step, EdgeAddress.r_even(1, n - ev.address.j), ev.label)
-            if ev.address == EdgeAddress.r_even(1, ev.address.j) else ev
-            for ev in events]
-
-
-def _even_right_printed(p: Parameters, alpha: int, beta: int) -> list[StepEvent]:
-    a, b, t = p.a, p.b, p.t
-    switched = range(beta + 1, alpha + 1)
-    unswitched = range(alpha + 1, b)
-    y_b = p.y[b - 1]
-    ev: list[StepEvent] = []
+    core, r_odd, r_even, l_odd, l_even, units = _paths(p)
+    if needs_hub_gap_repair(p):
+        # the steps then give each edge of R/even/1 its mirror image's label
+        r_even[0].reverse()
+    switched, unswitched, top = r_even[beta:alpha], r_even[alpha:-1], r_even[-1]
 
     # Step 1: hub edges of the switched length-2 paths, interleaved with units.
-    for i in range(1, beta + 1):
-        ev.append(StepEvent(1, EdgeAddress.r_even(i, 1), 2 * i - 1))
-    for i in range(1, beta):
-        ev.append(StepEvent(1, EdgeAddress.l_unit(i), 2 * i))
+    ev = [StepEvent(1, row[0], label) for label, row in zip(range(1, 2 * beta, 2), r_even)]
+    ev += [StepEvent(1, unit, label) for label, unit in zip(range(2, 2 * beta, 2), units)]
 
     # Step 2: even edges of the remaining non-top even right paths.
-    _next_block(ev, 2, [EdgeAddress.r_even(i, j) for i in switched
-                        for j in _evens(4, 2 * p.y[i - 1])]
-                + [EdgeAddress.r_even(i, j) for i in unswitched
-                   for j in _evens(2, 2 * p.y[i - 1])])
+    _next_block(ev, 2, _every_other(switched, 3) + _every_other(unswitched, 1))
 
     # Step 3: odd edges of odd right paths.
-    _next_block(ev, 3, [EdgeAddress.r_odd(i, j) for i in range(1, a + 1)
-                        for j in _odds(1, 2 * p.x[i - 1] + 1)])
+    _next_block(ev, 3, _every_other(r_odd, 0))
 
     # Step 4: odd edges of long odd left paths; hub edges wait for Step 18.
-    _long_odd_left_odd_edges(ev, 4, p)
+    _next_block(ev, 4, _every_other(l_odd, 0, -1))
 
     # Step 5: inner core edges.
-    _inner_core(ev, 5, p)
+    _inner_core(ev, 5, core)
 
     # Step 6: even edges of the top even right path.
-    _next_block(ev, 6, [EdgeAddress.r_even(b, j) for j in _evens(2, 2 * y_b)])
+    _next_block(ev, 6, top[1::2])
 
     # Step 7: odd edges of even left paths.
-    _even_left_odd_edges(ev, 7, p)
+    _next_block(ev, 7, _every_other(l_even, 0))
 
     # Step 8: hub edges of the switched longer even right paths.
-    _next_block(ev, 8, [EdgeAddress.r_even(i, 1) for i in switched])
+    _next_block(ev, 8, [row[0] for row in switched])
 
     # Step 9: the remaining unit left paths.  The printed rule starts at
     # i = beta, which leaves the units unplaced when beta = 0; starting at
     # max(1, beta) restores bijectivity.
-    _next_block(ev, 9, [EdgeAddress.l_unit(i) for i in range(max(1, beta), t + 1)])
+    _next_block(ev, 9, units[max(1, beta) - 1:])
 
     # Step 10: pendant edges of the switched length-2 paths.
-    _next_block(ev, 10, [EdgeAddress.r_even(i, 2) for i in range(1, beta + 1)], falling=True)
+    _next_block(ev, 10, [row[1] for row in r_even[:beta]], falling=True)
 
     # Step 11: odd edges of the switched longer paths, then of the unswitched.
-    _next_block(ev, 11, [EdgeAddress.r_even(i, j) for i in switched
-                         for j in _odds(3, 2 * p.y[i - 1])]
-                + [EdgeAddress.r_even(i, j) for i in unswitched
-                   for j in _odds(1, 2 * p.y[i - 1])])
+    _next_block(ev, 11, _every_other(switched, 2) + _every_other(unswitched, 0))
 
     # Step 12: even edges of odd right paths.
-    _odd_right_even_edges(ev, 12, p)
+    _next_block(ev, 12, _every_other(r_odd, 1))
 
     # Step 13: even edges of long odd left paths.
-    _long_odd_left_even_edges(ev, 13, p)
+    _next_block(ev, 13, _every_other(l_odd, 1))
 
     # Step 14: main core sweep.
-    _core_sweep(ev, 14, p)
+    _core_sweep(ev, 14, core)
 
     # Step 15: odd edges of the top even right path.
-    _next_block(ev, 15, [EdgeAddress.r_even(b, j) for j in _odds(1, 2 * y_b)])
+    _next_block(ev, 15, top[0::2])
 
     # Step 16: even edges of even left paths.
-    _even_left_even_edges(ev, 16, p)
+    _next_block(ev, 16, _every_other(l_even, 1))
 
     # Step 17: deferred pendant edges of the switched longer paths.
-    _next_block(ev, 17, [EdgeAddress.r_even(i, 2) for i in switched])
+    _next_block(ev, 17, [row[1] for row in switched])
 
     # Step 18: deferred hub edges of the long odd left paths.
-    _left_hub_edges(ev, 18, p)
+    _next_block(ev, 18, [row[-1] for row in l_odd])
 
     # Step 19: remaining core edges.
-    _last_core(ev, 19, p)
+    _last_core(ev, 19, core)
     return ev

@@ -63,6 +63,18 @@ def test_label_out_into_missing_directory(tmp_path, special_spec, capsys):
     _one_write_error(capsys.readouterr().err, out)
 
 
+def test_label_out_is_a_directory(tmp_path, special_spec, capsys):
+    out = tmp_path / "dir"
+    out.mkdir()
+    assert main(["label", "--spec", str(special_spec), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    _one_write_error(captured.err, out)
+    assert "[Errno 21] Is a directory" in captured.err
+    assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == sorted([special_spec, out])
+    assert list(out.iterdir()) == []
+
+
 def test_label_unwritable_dot_writes_nothing(tmp_path, special_spec, capsys):
     out = tmp_path / "ok.lab"
     dot = tmp_path / "missing" / "x.dot"
@@ -139,6 +151,18 @@ def test_verify_names_duplicate_behind_degree_order(tmp_path, capsys):
         "fail: duplicate-sum: phi(R/odd/1/1)=3 (deg 1) vs phi(L/even/1/2)=3 (deg 2)\n")
     assert main(["verify", "--spec", str(spec), "--labeling", str(lab), "--strong"]) == 2
     assert capsys.readouterr().out.startswith("fail: degree-order:")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# nothing but a comment\n", "empty labeling file"),
+    ("m = eight\n", "bad edge count: 'eight'"),
+    ("m = 8\nedge = core/1, lable = 3\n", "bad labeling record: 'edge = core/1, lable = 3'"),
+], ids=["comment-only", "bad-count", "misspelt-key"])
+def test_verify_rejects_malformed_labeling(tmp_path, special_spec, capsys, text, message):
+    lab = tmp_path / "bad.lab"
+    lab.write_text(text)
+    assert main(["verify", "--spec", str(special_spec), "--labeling", str(lab)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_verify_mismatched_labeling_is_malformed(tmp_path, special_spec):

@@ -142,6 +142,11 @@ def test_type_bc_left_unit_needs_degree_3_hubs():
         type_bc_steps(params(1, [1, 2, 2], [1, 2]))
 
 
+def test_type_bc_rejects_degree_4_right_hub():
+    with pytest.raises(UnsupportedCase, match="need a degree-3 right hub with a unit path"):
+        type_bc_steps(params(1, [2, 2, 2], [1, 2, 2]))
+
+
 def test_type_bc_even_k():
     p = params(1, [2, 1], [2, 1])
     step1 = [ev.address for ev in type_bc_steps(p) if ev.step == 1]
@@ -177,6 +182,14 @@ def test_odd_right_exact():
     assert rep.sums["vr"] == 16 and rep.sums["vl"] == 20
     assert sorted(rep.sums[v] for v in rep.degree_classes[1]) == [1, 2, 3, 4, 5]
     assert sorted(rep.sums[v] for v in rep.degree_classes[2]) == [8, 13]
+
+
+def test_odd_right_rejects_equal_hub_degrees():
+    # a = 2 with x = (0, 1) fits every other condition of the labeler
+    p = params(1, [1, 3], [1, 3])
+    assert p.deg_vl == p.deg_vr and p.a == 2 and p.x == (0, 1)
+    with pytest.raises(UnsupportedCase, match="odd-right labeler needs b = 0"):
+        odd_right_steps(p)
 
 
 def _direct_cases(max_edges, tag):
@@ -256,6 +269,13 @@ def switch_counts(p):
     events = even_right_steps(p)
     beta = sum(1 for ev in events if ev.step == 1 and ev.address.kind == KIND_R_EVEN)
     return beta + sum(1 for ev in events if ev.step == 8), beta
+
+
+def test_even_right_rejects_equal_hub_degrees():
+    p = params(1, [1, 2], [1, 2])
+    assert p.deg_vl == p.deg_vr and p.b == 1
+    with pytest.raises(UnsupportedCase, match="even-right labeler needs an even path"):
+        even_right_steps(p)
 
 
 def test_even_right_exact():

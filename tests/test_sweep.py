@@ -2,7 +2,11 @@
 
 import hashlib
 
+import pytest
+
 from antimagic import CaseTag, DoubleSpiderSpec, canonicalize
+from antimagic.cli import main
+from antimagic.oracle import SearchResult
 from antimagic.sweep import check_instance, format_report, run_sweep
 
 
@@ -24,3 +28,31 @@ def test_check_instance_reports_construction_bug(monkeypatch):
     assert rec.detail.endswith("duplicate-sum: phi(vr)=41 (deg 3) vs phi(vl)=41 (deg 4)")
     # a failed record derives its own m and tag
     assert rec.m == 19 and rec.tag is CaseTag.UNEQUAL_EVEN_RIGHT
+
+
+def test_sweep_command_reports_a_failure(tmp_path, capsys, monkeypatch):
+    # end to end: the exit code, the FAIL line and the report's FAIL record
+    monkeypatch.setattr("antimagic.labelers.needs_hub_gap_repair", lambda p: False)
+    report = tmp_path / "sweep.txt"
+    assert main(["sweep", "--max-edges", "13", "--report", str(report)]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert "failures = 1" in out
+    bug = "ConstructionBug: driver produced a labeling that fails verification: "
+    tie = "duplicate-sum: phi(vr)=27 (deg 3) vs phi(vl)=27 (deg 4)"
+    assert f"FAIL core=2 left=1,1,1 right=4,4: {bug}{tie}" in out
+    failed = [line for line in report.read_text().splitlines() if "result=FAIL" in line]
+    assert failed == [f"instance core=2 left=1,1,1 right=4,4 m=13 case=unequal-even-right "
+                      f"result=FAIL detail={bug}{tie}"]
+
+
+def test_run_sweep_rejects_tiny_budget():
+    with pytest.raises(ValueError, match="max_edges must be at least 5"):
+        run_sweep(4)
+
+
+def test_check_instance_reports_oracle_disagreement(monkeypatch):
+    monkeypatch.setattr("antimagic.sweep.find_strongly_antimagic",
+                        lambda tree, budget: SearchResult("none", None, 0))
+    c = canonicalize(DoubleSpiderSpec(2, (3, 1), (1, 1)))
+    rec = check_instance(c, oracle_max=c.total_edges)
+    assert not rec.ok and rec.detail == "oracle disagrees: none"
