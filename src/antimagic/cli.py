@@ -18,6 +18,7 @@ import errno
 import os
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 from . import fileio
@@ -164,7 +165,9 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by later ones."""
     parser = argparse.ArgumentParser(
         prog="antimagic",
         description="Construct and verify strongly antimagic labelings of double spiders.",

@@ -10,8 +10,9 @@ the smallest labels:
 The instance-level reductions these moves undo (leaf-level deletion, unit
 path removal) live here as well, and so do their batched inverses on a
 double spider labeling (extend_leaf_levels, insert_unit_paths): a run of k
-equal moves in one O(m) relabeling, left to the caller to verify.  The
-double spider branches of the public moves are those with k = 1, verified.
+equal moves in one O(m) relabeling of the flat label list, left to the
+caller to verify.  The double spider branches of the public moves are those
+with k = 1, verified.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from .labeling import EdgeLabeling, LabeledSpider, LabeledTree, labeled_spider, 
 from .spiders import (
     HUB_LEFT,
     HUB_RIGHT,
-    KIND_R_ODD,
     CanonicalDoubleSpider,
-    EdgeAddress,
     InvalidSpider,
+    Parameters,
+    PendantPath,
     derive_parameters,
     materialize_tree,
     pendant_paths,
@@ -102,10 +103,9 @@ def add_unit_path(c: CanonicalDoubleSpider, side: str, count: int = 1) -> Canoni
 # ---------------------------------------------------------------------------
 
 
-def _ranked_paths(c: CanonicalDoubleSpider) -> list[tuple[str, list[EdgeAddress]]]:
+def _ranked_paths(p: Parameters) -> list[PendantPath]:
     """The pendant paths by hub, shortest first; a leaf extension keeps this order."""
-    return sorted(pendant_paths(derive_parameters(c)),
-                  key=lambda hub_path: (hub_path[0], len(hub_path[1])))
+    return sorted(pendant_paths(p), key=lambda path: (path[0], len(path[3])))
 
 
 def extend_leaf_levels(
@@ -121,21 +121,17 @@ def extend_leaf_levels(
     """
     _check_count(k)
     grown = grow_all_paths(c, k)
-    old = labeling.assignment
+    p, q = derive_parameters(c), derive_parameters(grown)
     n = len(c.left_lengths) + len(c.right_lengths)
-    shift = k * n
-    assignment = {EdgeAddress.core(j): old[EdgeAddress.core(j)] + shift
-                  for j in range(1, c.core_length + 1)}
-    tails: list[tuple[int, list[EdgeAddress]]] = []  # (old pendant label, new edges by level)
-    for (_, olds), (_, news) in zip(_ranked_paths(c), _ranked_paths(grown)):
-        for a, b in zip(olds, news):
-            assignment[b] = old[a] + shift
-        tails.append((old[olds[-1]], news[len(olds):]))
-    tails.sort(key=lambda tail: tail[0])
-    for r, (_, news) in enumerate(tails, start=1):
-        for q, b in enumerate(news, start=1):
-            assignment[b] = r + n * (k - q)
-    return grown, EdgeLabeling(labeling.total_edges + shift, assignment)
+    old = [lab + k * n for lab in labeling.by_id(p)]
+    before = {path: ids for path, (*_, ids) in zip(_ranked_paths(q), _ranked_paths(p))}
+    rank = {lab: r for r, lab in enumerate(sorted(old[ids[-1]] for ids in before.values()), 1)}
+    new = old[:p.s]
+    for path in pendant_paths(q):
+        ids = before[path]  # the path's edge ids before the extension
+        new += old[ids.start:ids.stop]
+        new += range(rank[old[ids[-1]]] + n * (k - 1), 0, -n)
+    return grown, EdgeLabeling.flat(q, new)
 
 
 def insert_unit_paths(
@@ -144,27 +140,18 @@ def insert_unit_paths(
     """k unit-path insertions at one hub at once, in O(m).
 
     Every old label gains k and the q-th new unit gets k - q + 1.  On the
-    right the new units sit after the old ones among the odd paths, so the
-    longer odd paths move k indices up.
+    left the new units take the last edge ids; on the right they sit after
+    the old unit paths among the odd ones, so the longer odd paths move k
+    indices (and edge ids) up.
     """
     _check_side(side)
     _check_count(k)
-    old = labeling.assignment
-    if side == "left":
-        t = c.left_lengths.count(1)
-        assignment = {a: lab + k for a, lab in old.items()}
-        new = [EdgeAddress.l_unit(t + q) for q in range(1, k + 1)]
-    else:
-        u = c.right_lengths.count(1)
-        assignment = {}
-        for a, lab in old.items():
-            if a.kind == KIND_R_ODD and a.i > u:
-                a = EdgeAddress.r_odd(a.i + k, a.j)
-            assignment[a] = lab + k
-        new = [EdgeAddress.r_odd(u + q, 1) for q in range(1, k + 1)]
-    for q, a in enumerate(new, start=1):
-        assignment[a] = k - q + 1
-    return add_unit_path(c, side, k), EdgeLabeling(labeling.total_edges + k, assignment)
+    p = derive_parameters(c)
+    at = p.m if side == "left" else p.s + c.right_lengths.count(1)
+    old = [lab + k for lab in labeling.by_id(p)]
+    grown = add_unit_path(c, side, k)
+    new = old[:at] + list(range(k, 0, -1)) + old[at:]
+    return grown, EdgeLabeling.flat(derive_parameters(grown), new)
 
 
 def _verified(grown: tuple[CanonicalDoubleSpider, EdgeLabeling], move: str) -> LabeledSpider:

@@ -6,7 +6,9 @@ directly; the rest are reduced (leaf-level deletions, unit-path removals) to
 a coverable residue, and each run of equal reductions is undone, LIFO, by
 one direct batched relabeling (`compose.insert_unit_paths`,
 `compose.extend_leaf_levels`).  The labelers, the replay and the one
-verification all work on address-keyed labelings; no string Tree is built.
+verification all work on one flat list of labels by edge id; no address,
+vertex id or Tree is built unless a caller asks for it (or verification
+fails and names the offending pair).
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ from .compose import (
 from .labeling import EdgeLabeling, LabeledSpider, labeled_spider
 from .labelers import (
     SPECIAL_INSTANCE,
-    SPECIAL_INSTANCE_ASSIGNMENT,
-    StepEvent,
+    Steps,
     even_right_steps,
     is_type_a,
     odd_right_steps,
+    special_instance_steps,
     type_a_steps,
     type_bc_steps,
 )
@@ -62,11 +64,10 @@ def strongly_antimagic_label(
     return lt
 
 
-def _from_steps(p: Parameters, events: list[StepEvent],
-                trace: list[str] | None) -> EdgeLabeling:
+def _from_steps(p: Parameters, steps: Steps, trace: list[str] | None) -> EdgeLabeling:
     if trace is not None:
-        trace.extend(ev.line() for ev in events)
-    return EdgeLabeling(p.m, {ev.address: ev.label for ev in events})
+        trace.extend(ev.line() for ev in steps)
+    return EdgeLabeling.flat(p, steps.labels)
 
 
 def _note(trace: list[str] | None, text: str) -> None:
@@ -91,9 +92,7 @@ def _label_residue(c: CanonicalDoubleSpider, trace: list[str] | None) -> EdgeLab
     p = derive_parameters(c)
     if c == SPECIAL_INSTANCE:
         _note(trace, f"fixed labeling of the special residue {c.text}")
-        events = [StepEvent(1, addr, label) for addr, label in
-                  sorted(SPECIAL_INSTANCE_ASSIGNMENT.items(), key=lambda kv: kv[1])]
-        return _from_steps(p, events, trace)
+        return _from_steps(p, special_instance_steps(), trace)
     if is_type_a(p):
         _note(trace, f"type-(a) labeling of residue {c.text}")
         return _from_steps(p, type_a_steps(p), trace)

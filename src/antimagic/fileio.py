@@ -18,10 +18,14 @@ from __future__ import annotations
 
 from .labeling import EdgeLabeling
 from .spiders import (
+    KIND_CORE,
+    KIND_L_UNIT,
     CanonicalDoubleSpider,
     DoubleSpiderSpec,
     EdgeAddress,
     SpiderTree,
+    address_rows,
+    edge_addresses,
     parse_address,
 )
 
@@ -99,9 +103,17 @@ def parse_labeling(text: str) -> EdgeLabeling:
 
 
 def format_labeling(labeling: EdgeLabeling) -> str:
-    lines = [f"m = {labeling.total_edges}"]
-    for addr in sorted(labeling.assignment):
-        lines.append(f"edge = {addr.text}, label = {labeling.assignment[addr]}")
+    """The labeling file text; a flat labeling is written from its layout, row by row."""
+    lines, lab = [f"m = {labeling.total_edges}"], labeling.labels
+    if lab is None:
+        lines += (f"edge = {a.text}, label = {x}" for a, x in sorted(labeling.assignment.items()))
+    for kind, rows in enumerate(address_rows(labeling.params) if lab else ()):
+        for i, row in enumerate(rows, start=kind != KIND_CORE):
+            if kind == KIND_L_UNIT:
+                lines.append(f"edge = {EdgeAddress(kind, i).text}, label = {lab[row[0]]}")
+            else:
+                prefix = EdgeAddress(kind, i).text[:-1]  # the text up to j = 0
+                lines += (f"edge = {prefix}{j}, label = {lab[e]}" for j, e in enumerate(row, 1))
     return "\n".join(lines) + "\n"
 
 
@@ -116,7 +128,7 @@ def check_labeling_size(spec: DoubleSpiderSpec, labeling: EdgeLabeling) -> None:
 
 def check_labeling_matches(spider: SpiderTree, labeling: EdgeLabeling) -> None:
     """Raise FormatError unless the labeling covers exactly the instance's edges."""
-    expected = spider.edge_of.keys()
+    expected = set(edge_addresses(spider.params))
     got = set(labeling.assignment)
     if got != expected:
         missing = sorted(expected - got)

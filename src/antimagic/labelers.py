@@ -1,32 +1,33 @@
 """Step-by-step constructive labelers for the four double spider cases.
 
-Each labeler walks a fixed sequence of steps, assigning 1..m to edge
-addresses; steps whose slices are empty are skipped.  A step takes every
-other edge, or one end edge, of some path rows, which are built once from
-the layout in spiders.pendant_paths.  Every step takes the next block of
-labels, those just above the earlier steps' labels, rising or falling in the
-order it emits its edges; only the even-right labeler's Step 1, which
-interleaves 2i - 1 and 2i, writes its labels out.  The step events are kept
-so callers can audit exactly which step placed which label.  Each labeler
-has one entry point, its ``*_steps`` function; the driver turns the events
-into a labeling and verifies it.
+Each labeler walks a fixed sequence of steps, assigning 1..m to edge ids;
+steps whose slices are empty are skipped.  A step takes every other edge,
+or one end edge, of some path rows: ranges of edge ids from the layout in
+spiders.pendant_paths.  Every step takes the next block of labels, those
+just above the earlier steps' labels, rising or falling in the order it
+emits its edges; only the even-right labeler's Step 1, which interleaves
+2i - 1 and 2i, places its two strided blocks itself.  Each labeler has one
+entry point, its ``*_steps`` function, which returns Steps: the flat list of
+labels by edge id, and the blocks that placed them.  The driver reads the
+list; iterating the Steps expands the blocks into StepEvents, so callers can
+audit exactly which step placed which label.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .labeling import EdgeLabeling, LabeledSpider, labeled_spider
 from .spiders import (
-    HUB_RIGHT,
+    KIND_CORE,
     KIND_L_UNIT,
-    KIND_NAMES,
     CanonicalDoubleSpider,
     EdgeAddress,
     Parameters,
+    address_rows,
     derive_parameters,
+    edge_addresses,
     materialize_tree,
-    pendant_paths,
 )
 
 # The one instance whose shape fits the two-path right-hub rules but whose
@@ -48,25 +49,38 @@ class StepEvent(NamedTuple):
         return f"step={self.step} edge={self.address.text} label={self.label}"
 
 
-def _paths(p: Parameters) -> list:
-    """The rows core, R/odd, R/even, L/odd, L/even and units, in kind order.
+class Steps:
+    """A labeler's output: labels[e] for each edge id e and the blocks (step,
+    edge ids, first label, stride) that placed them; iterating expands the
+    blocks into StepEvents."""
 
-    The core row is core/1..core/s and the units row the unit left edges.
-    Each other entry lists its class's paths, each by ascending j: right
-    paths run from vr, as pendant_paths gives them, and left paths are
-    reversed, so the pendant edge comes first and the hub edge last.
-    """
-    rows: list = [[EdgeAddress.core(j) for j in range(1, p.s + 1)]]
-    rows += [[] for _ in KIND_NAMES[1:]]
-    for hub, path in pendant_paths(p):
-        rows[path[0].kind].append(path if hub == HUB_RIGHT else path[::-1])
+    def __init__(self, p: Parameters) -> None:
+        self.params, self.labels, self.blocks = p, [0] * p.m, []
+        self.done = 0  # the labels placed so far are 1..done
+
+    def place(self, step: int, edges: Sequence[int], first: int, stride: int = 1) -> None:
+        n, labels = len(edges), self.labels
+        self.blocks.append((step, edges, first, stride))
+        for e, label in zip(edges, range(first, first + stride * n, stride)):
+            labels[e] = label
+        self.done += n
+
+    def __iter__(self) -> Iterator[StepEvent]:
+        addresses = edge_addresses(self.params)
+        for step, edges, first, stride in self.blocks:
+            yield from (StepEvent(step, addresses[e], first + k * stride) for k, e in enumerate(edges))
+
+
+def _paths(p: Parameters) -> list:
+    """spiders.address_rows with the core as one row and the unit edges as one list."""
+    rows: list = address_rows(p)
+    rows[KIND_CORE] = rows[KIND_CORE][0]
     rows[KIND_L_UNIT] = [row[0] for row in rows[KIND_L_UNIT]]
     return rows
 
 
-def _every_other(rows: list[list[EdgeAddress]], start: int,
-                 stop: int | None = None) -> list[EdgeAddress]:
-    """Every other address of each row's [start:stop] slice, row by row."""
+def _every_other(rows: list[range], start: int, stop: int | None = None) -> list[int]:
+    """Every other edge id of each row's [start:stop] slice, row by row."""
     return [a for row in rows for a in row[start:stop:2]]
 
 
@@ -78,18 +92,15 @@ def _every_other(rows: list[list[EdgeAddress]], start: int,
 # ---------------------------------------------------------------------------
 
 
-def _next_block(ev: list[StepEvent], step: int, addresses: list[EdgeAddress],
-                falling: bool = False) -> None:
-    """Label the addresses with the len(addresses) labels after len(ev)."""
-    label, delta = len(ev), 1
+def _next_block(ev: Steps, step: int, edges: Sequence[int], falling: bool = False) -> None:
+    """Label the edges with the len(edges) labels after those placed so far."""
     if falling:
-        label, delta = label + len(addresses) + 1, -1
-    for addr in addresses:
-        label += delta
-        ev.append(StepEvent(step, addr, label))
+        ev.place(step, edges, ev.done + len(edges), -1)
+    else:
+        ev.place(step, edges, ev.done + 1)
 
 
-def _inner_core(ev: list[StepEvent], step: int, core: list[EdgeAddress]) -> None:
+def _inner_core(ev: Steps, step: int, core: range) -> None:
     """The core edges other than the three or four at its ends; none for s < 4."""
     if len(core) % 2 == 0:
         _next_block(ev, step, core[1:-2:2], falling=True)
@@ -97,7 +108,7 @@ def _inner_core(ev: list[StepEvent], step: int, core: list[EdgeAddress]) -> None
         _next_block(ev, step, core[2:-2:2])
 
 
-def _core_sweep(ev: list[StepEvent], step: int, core: list[EdgeAddress]) -> None:
+def _core_sweep(ev: Steps, step: int, core: range) -> None:
     """Odd core edges from vr inwards (even s), or even ones outwards (odd s)."""
     if len(core) % 2 == 0:
         _next_block(ev, step, core[0::2], falling=True)
@@ -105,7 +116,7 @@ def _core_sweep(ev: list[StepEvent], step: int, core: list[EdgeAddress]) -> None
         _next_block(ev, step, core[1::2])
 
 
-def _last_core(ev: list[StepEvent], step: int, core: list[EdgeAddress]) -> None:
+def _last_core(ev: Steps, step: int, core: range) -> None:
     """core/s gets m; an odd core with s >= 3 also gives core/1 m - 1."""
     s = len(core)
     if s % 2 == 1 and s > 1:
@@ -124,14 +135,14 @@ def is_type_a(p: Parameters) -> bool:
     return p.a == 2 and p.b == 0 and p.x == (0, 0) and p.t == 2 and p.c == 0 and p.d == 0
 
 
-def type_a_steps(p: Parameters) -> list[StepEvent]:
+def type_a_steps(p: Parameters) -> Steps:
     """Closed-form labeling for the two-units-per-side case."""
     if not is_type_a(p):
         raise UnsupportedCase("type (a) needs two unit paths on each side and nothing else")
     core, r_odd, _, _, _, left = _paths(p)
     odd = p.s % 2 == 1
     right = [row[0] for row in r_odd]
-    ev: list[StepEvent] = []
+    ev = Steps(p)
     _next_block(ev, 1, core[1::2], falling=odd)
     _next_block(ev, 2, right if odd else left)
     _next_block(ev, 3, left if odd else right)
@@ -150,7 +161,7 @@ def _type_bc_entry(p: Parameters) -> tuple[int, int]:
     k is the length of the non-designated right path; t' switches the
     Step-5 ordering.
     """
-    if p.deg_vr != 3 or p.a + p.b != 2 or p.a < 1 or p.x[0] != 0:
+    if p.deg_vr != 3 or p.a < 1 or p.x[0] != 0:
         raise UnsupportedCase("types (b)/(c) need a degree-3 right hub with a unit path")
     if p.t > 1:
         raise UnsupportedCase("types (b)/(c) allow at most one unit path on the left")
@@ -168,11 +179,11 @@ def _type_bc_entry(p: Parameters) -> tuple[int, int]:
     return k, t_prime
 
 
-def type_bc_steps(p: Parameters) -> list[StepEvent]:
+def type_bc_steps(p: Parameters) -> Steps:
     k, t_prime = _type_bc_entry(p)
     core, r_odd, r_even, l_odd, l_even, units = _paths(p)
     pk = r_odd[1] if k % 2 == 1 else r_even[0]
-    ev: list[StepEvent] = []
+    ev = Steps(p)
 
     # Step 1: even edges of Pk.
     _next_block(ev, 1, pk[1::2], falling=True)
@@ -228,11 +239,17 @@ SPECIAL_INSTANCE_ASSIGNMENT = {
 }
 
 
+def special_instance_steps() -> Steps:
+    """The hand-built labeling as one Step-1 block: the edges in label order."""
+    ev, addresses = Steps(_SPECIAL_PARAMETERS), edge_addresses(_SPECIAL_PARAMETERS)
+    ev.place(1, sorted(range(8), key=lambda e: SPECIAL_INSTANCE_ASSIGNMENT[addresses[e]]), 1)
+    return ev
+
+
 def special_instance_labeling() -> LabeledSpider:
     """The hand-built labeling of the one instance the step rules cannot handle."""
     spider = materialize_tree(SPECIAL_INSTANCE)
-    labeling = EdgeLabeling(total_edges=8, assignment=dict(SPECIAL_INSTANCE_ASSIGNMENT))
-    lt = labeled_spider(spider, labeling)
+    lt = labeled_spider(spider, EdgeLabeling.flat(spider.params, special_instance_steps().labels))
     assert lt.report.strong_ok
     return lt
 
@@ -247,14 +264,14 @@ def _check_odd_right(p: Parameters) -> None:
         raise UnsupportedCase("odd-right labeler needs b = 0 and a long odd right path")
 
 
-def odd_right_steps(p: Parameters) -> list[StepEvent]:
+def odd_right_steps(p: Parameters) -> Steps:
     _check_odd_right(p)
     core, r_odd, _, l_odd, l_even, units = _paths(p)
     top = r_odd[-1]
-    ev: list[StepEvent] = []
+    ev = Steps(p)
 
     # Step 1: odd edges of odd right paths; the top path's hub edge waits.
-    _next_block(ev, 1, _every_other(r_odd[:-1], 0) + top[2::2])
+    _next_block(ev, 1, _every_other(r_odd[:-1], 0) + [*top[2::2]])
 
     # Step 2: odd edges of long odd left paths; hub edges wait for Step 11.
     _next_block(ev, 2, _every_other(l_odd, 0, -1))
@@ -324,7 +341,7 @@ def needs_hub_gap_repair(p: Parameters) -> bool:
             and p.s % 2 == 0 and min(p.y) >= 2)
 
 
-def even_right_steps(p: Parameters) -> list[StepEvent]:
+def even_right_steps(p: Parameters) -> Steps:
     """The nineteen printed steps; the hub-gap family reads R/even/1 from its leaf."""
     _check_even_right(p)
     # alpha counts the even right paths whose edge order is switched so vl
@@ -335,12 +352,13 @@ def even_right_steps(p: Parameters) -> list[StepEvent]:
     core, r_odd, r_even, l_odd, l_even, units = _paths(p)
     if needs_hub_gap_repair(p):
         # the steps then give each edge of R/even/1 its mirror image's label
-        r_even[0].reverse()
+        r_even[0] = r_even[0][::-1]
     switched, unswitched, top = r_even[beta:alpha], r_even[alpha:-1], r_even[-1]
 
     # Step 1: hub edges of the switched length-2 paths, interleaved with units.
-    ev = [StepEvent(1, row[0], label) for label, row in zip(range(1, 2 * beta, 2), r_even)]
-    ev += [StepEvent(1, unit, label) for label, unit in zip(range(2, 2 * beta, 2), units)]
+    ev = Steps(p)
+    ev.place(1, [row[0] for row in r_even[:beta]], 1, 2)
+    ev.place(1, units[:max(0, beta - 1)], 2, 2)
 
     # Step 2: even edges of the remaining non-top even right paths.
     _next_block(ev, 2, _every_other(switched, 3) + _every_other(unswitched, 1))

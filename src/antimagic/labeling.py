@@ -9,11 +9,13 @@ antimagic when additionally deg(u) < deg(v) implies sum(u) < sum(v).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
+from itertools import groupby
+from operator import add
+from typing import Callable, Mapping
 
-from .spiders import EdgeAddress, SpiderTree
+from .spiders import HUB_LEFT, HUB_RIGHT, EdgeAddress, Parameters, SpiderTree, edge_addresses, pendant_paths
 from .trees import Edge, Tree, edge_key
 
 
@@ -21,12 +23,36 @@ class LabelingError(ValueError):
     """A labeling is structurally unusable (wrong keys, missing edges, ...)."""
 
 
-@dataclass(frozen=True)
 class EdgeLabeling:
-    """Address-keyed labeling of a double spider's edges."""
+    """A double spider's edge count and address-keyed labels.
 
-    total_edges: int
-    assignment: dict[EdgeAddress, int]
+    One built ``flat`` has labels[e] for each edge id e of params' layout
+    and builds its assignment on first use; any other has no params or labels.
+    """
+
+    params = labels = None
+
+    def __init__(self, total_edges: int, assignment: dict[EdgeAddress, int]) -> None:
+        self.total_edges, self.assignment = total_edges, assignment
+
+    @classmethod
+    def flat(cls, p: Parameters, labels: list[int]) -> EdgeLabeling:
+        out = cls.__new__(cls)
+        out.total_edges, out.params, out.labels = p.m, p, labels
+        return out
+
+    @cached_property
+    def assignment(self) -> dict[EdgeAddress, int]:
+        return dict(zip(edge_addresses(self.params), self.labels))
+
+    def by_id(self, p: Parameters) -> list[int]:
+        """The label of each edge id in p's layout; LabelingError unless it covers p's edges."""
+        if self.params is p or self.params == p:
+            return self.labels
+        addresses = edge_addresses(p)
+        if self.assignment.keys() != set(addresses):
+            raise LabelingError("labeling does not cover exactly the instance's edges")
+        return list(map(self.assignment.__getitem__, addresses))
 
 
 @dataclass(frozen=True)
@@ -52,12 +78,27 @@ class SumViolation:
 
 @dataclass(frozen=True)
 class VertexSumReport:
-    sums: dict[str, int]
-    degree_classes: dict[int, tuple[str, ...]]
+    """The flags and the first violation; sums and degree classes from ``named`` on first read."""
+
     bijection_ok: bool
     antimagic_ok: bool
     strong_ok: bool
     violation: SumViolation | None
+    named: Callable[[], tuple[dict[str, int], dict[str, int]]] = field(repr=False, compare=False)
+
+    @cached_property
+    def _tables(self) -> tuple[dict[str, int], dict[str, int]]:
+        return self.named()
+
+    @property
+    def sums(self) -> dict[str, int]:
+        return self._tables[0]
+
+    @cached_property
+    def degree_classes(self) -> dict[int, tuple[str, ...]]:
+        degrees = self._tables[1]
+        order = sorted(degrees, key=lambda v: (degrees[v], v))
+        return {k: tuple(vs) for k, vs in groupby(order, key=degrees.__getitem__)}
 
 
 def _first_pair(
@@ -96,74 +137,89 @@ def _first_pair(
     return None
 
 
+def _named_sums(vertices, edges, labels) -> tuple[dict[str, int], dict[str, int]]:
+    """The sum and the degree of each vertex id."""
+    sums, degrees = dict.fromkeys(vertices, 0), dict.fromkeys(vertices, 0)
+    for (u, v), lab in zip(edges, labels):
+        sums[u] += lab
+        sums[v] += lab
+        degrees[u] += 1
+        degrees[v] += 1
+    return sums, degrees
+
+
+def _named_report(sums: dict[str, int], degrees: dict[str, int], bijection_ok: bool) -> VertexSumReport:
+    """The report of named sums; a failure names the first pair in (degree, id) order."""
+    if not bijection_ok:
+        return VertexSumReport(False, False, False, SumViolation("", "", 0, 0, 0, 0, "bad-bijection"),
+                               lambda: (sums, degrees))
+    assert sum(sums.values()) == len(sums) * (len(sums) - 1)  # twice 1 + ... + m, as V = m + 1
+    violation = _first_pair(sorted(sums, key=lambda v: (degrees[v], v)), sums, degrees)
+    strong_ok = violation is None
+    antimagic_ok = strong_ok or len(set(sums.values())) == len(sums)
+    return VertexSumReport(True, antimagic_ok, strong_ok, violation, lambda: (sums, degrees))
+
+
+def _strong_by_class(p: Parameters, lab: list[int]) -> bool:
+    """Whether a bijective labeling of p's layout is strong, read off the path spans.
+
+    Inner sums add neighbouring edge ids along the core and each path, a leaf
+    has its path's last edge, a hub its core end plus its paths' first edges.
+    Each degree class must have distinct sums, all above the class before.
+    """
+    paths = pendant_paths(p)
+    inner = list(map(add, lab[:p.s - 1], lab[1:p.s]))
+    hubs = {HUB_LEFT: lab[0], HUB_RIGHT: lab[p.s - 1]}
+    for hub, _, _, ids in paths:
+        inner += map(add, lab[ids.start:ids.stop - 1], lab[ids.start + 1:ids.stop])
+        hubs[hub] += lab[ids.start]
+    vl, vr = hubs[HUB_LEFT], hubs[HUB_RIGHT]
+    classes = [[lab[ids[-1]] for *_, ids in paths], inner]
+    classes += [[vr, vl]] if p.deg_vl == p.deg_vr else [[vr], [vl]]
+    top = 0
+    for sums in classes:
+        if sums:
+            if min(sums) <= top or len(set(sums)) < len(sums):
+                return False
+            top = max(sums)
+    return True
+
+
 def vertex_sums(tree: Tree | SpiderTree, labeling) -> VertexSumReport:
-    """Compute per-vertex label sums plus all property flags, in O(V log V).
+    """Decide the bijection, antimagic and strong properties of a labeling.
 
     With the vertices ordered by (degree, id), a bijective labeling is
     strongly antimagic iff no u has a later v with an equal sum, or a later v
     of higher degree with a smaller sum; equivalently, iff sorting the
     vertices by (degree, sum) gives strictly increasing sums.  One linear
-    pass over that order (``_first_pair``) decides it.  ``antimagic_ok`` is
-    the all-sums-distinct test on its own.
+    pass over that order (``_first_pair``) decides it, in O(V log V).
+    ``antimagic_ok`` is the all-sums-distinct test on its own.
 
     When the strong property fails, ``violation`` is the first pair of a
     pairwise scan over the vertices in (degree, id) order: the first u that
     has such a v, paired with the first such v.  A non-bijective labeling gets
     the "bad-bijection" violation and all flags False.
 
-    A double spider (SpiderTree) takes its address-keyed EdgeLabeling and
-    any other Tree an edge-keyed mapping; the spider's Tree is never built.
-    Raises LabelingError when the labeled edge set differs from the tree's.
+    A double spider (SpiderTree) takes an EdgeLabeling, checked by edge id
+    (``_strong_by_class``); its vertex ids are named only on a failure or
+    when the report's sums are read.  Any other Tree takes an edge-keyed
+    mapping.  Raises LabelingError when the labeled edges differ from the tree's.
     """
     if isinstance(labeling, EdgeLabeling) != isinstance(tree, SpiderTree):
         raise LabelingError("an address-keyed labeling needs a materialized instance, "
                             "an edge-keyed one a Tree")
     if isinstance(tree, SpiderTree):
-        if labeling.assignment.keys() != tree.edge_of.keys():
-            raise LabelingError("labeling does not cover exactly the instance's edges")
-        edges, m = tree.edge_of.values(), labeling.total_edges
-        labels = list(map(labeling.assignment.__getitem__, tree.edge_of))
-    else:
-        labeling = {edge_key(u, v): lab for (u, v), lab in labeling.items()}
-        if labeling.keys() != set(tree.edges):
-            raise LabelingError("labeling does not cover exactly the tree's edges")
-        edges, labels, m = labeling.keys(), labeling.values(), len(labeling)
-
-    vertices = tree.vertices
-    sums = dict.fromkeys(vertices, 0)
-    degrees = dict.fromkeys(vertices, 0)
-    for (u, v), lab in zip(edges, labels):
-        sums[u] += lab
-        sums[v] += lab
-        degrees[u] += 1
-        degrees[v] += 1
-
-    bijection_ok = verify_bijection(labeling)
-    if bijection_ok:
-        assert sum(sums.values()) == m * (m + 1)
-
-    order = sorted(vertices, key=lambda v: (degrees[v], v))
-    classes: dict[int, list[str]] = {}
-    for v in order:
-        classes.setdefault(degrees[v], []).append(v)
-    degree_classes = {k: tuple(vs) for k, vs in classes.items()}
-
-    if bijection_ok:
-        violation = _first_pair(order, sums, degrees)
-        strong_ok = violation is None
-        antimagic_ok = strong_ok or len(set(sums.values())) == len(sums)
-    else:
-        violation = SumViolation("", "", 0, 0, 0, 0, "bad-bijection")
-        antimagic_ok = strong_ok = False
-
-    return VertexSumReport(
-        sums=sums,
-        degree_classes=degree_classes,
-        bijection_ok=bijection_ok,
-        antimagic_ok=antimagic_ok,
-        strong_ok=strong_ok,
-        violation=violation,
-    )
+        labels = labeling.by_id(tree.params)
+        named = lambda: _named_sums(tree.vertices, tree.edges, labels)  # noqa: E731
+        bijection_ok = verify_bijection(labeling)
+        if bijection_ok and _strong_by_class(tree.params, labels):
+            return VertexSumReport(True, True, True, None, named)
+        return _named_report(*named(), bijection_ok)
+    labeling = {edge_key(u, v): lab for (u, v), lab in labeling.items()}
+    if labeling.keys() != set(tree.edges):
+        raise LabelingError("labeling does not cover exactly the tree's edges")
+    return _named_report(*_named_sums(tree.vertices, labeling.keys(), labeling.values()),
+                         verify_bijection(labeling))
 
 
 def first_duplicate(report: VertexSumReport) -> SumViolation | None:
@@ -185,7 +241,8 @@ def first_duplicate(report: VertexSumReport) -> SumViolation | None:
 def verify_bijection(labeling: EdgeLabeling | Mapping) -> bool:
     """True iff the labels are exactly {1..m} with no repeats."""
     if isinstance(labeling, EdgeLabeling):
-        values, m = labeling.assignment.values(), labeling.total_edges
+        values = labeling.assignment.values() if labeling.labels is None else labeling.labels
+        m = labeling.total_edges
     else:
         values, m = labeling.values(), len(labeling)
     return sorted(values) == list(range(1, m + 1))
@@ -223,7 +280,7 @@ class LabeledTree:
 
 @dataclass(frozen=True)
 class LabeledSpider:
-    """A double spider with a verified address-keyed labeling; tree and labels on first use."""
+    """A double spider with a verified labeling; tree and edge-keyed labels on first use."""
 
     spider: SpiderTree
     labeling: EdgeLabeling
@@ -235,8 +292,7 @@ class LabeledSpider:
 
     @cached_property
     def labels(self) -> dict[Edge, int]:
-        lab = self.labeling.assignment
-        return {e: lab[a] for a, e in self.spider.edge_of.items()}
+        return dict(zip(self.spider.edges, self.labeling.by_id(self.spider.params)))
 
     @property
     def total_edges(self) -> int:

@@ -4,8 +4,9 @@ A double spider is a tree with exactly two vertices of degree >= 3 (the hubs
 vl and vr), joined by a core path of length s, with a multiset of pendant
 paths hanging off each hub.  This module owns validation, the canonical
 orientation, the parity split of each side (Parameters), edge addressing, the
-pendant-path layout (defined once, in pendant_paths), tree materialization,
-case classification, and exhaustive enumeration by edge budget.
+edge layout (edge ids 0..m-1, defined once, in pendant_paths), tree
+materialization, case classification, and exhaustive enumeration by edge
+budget.
 """
 
 from __future__ import annotations
@@ -196,14 +197,18 @@ class EdgeAddress(NamedTuple):
 
     @property
     def text(self) -> str:
-        if self.kind == KIND_CORE:
-            return f"core/{self.j}"
-        if self.kind == KIND_L_UNIT:
-            return f"L/unit/{self.i}"
-        return f"{KIND_NAMES[self.kind]}/{self.i}/{self.j}"
+        return _address_text(*self)
 
     def __str__(self) -> str:
         return self.text
+
+
+def _address_text(kind: int, i: int, j: int) -> str:
+    if kind == KIND_CORE:
+        return f"core/{j}"
+    if kind == KIND_L_UNIT:
+        return f"L/unit/{i}"
+    return f"{KIND_NAMES[kind]}/{i}/{j}"
 
 
 def parse_address(text: str) -> EdgeAddress:
@@ -226,26 +231,56 @@ HUB_LEFT = "vl"
 HUB_RIGHT = "vr"
 
 
-def pendant_paths(p: Parameters) -> list[tuple[str, list[EdgeAddress]]]:
-    """Every pendant path as (hub, edge addresses from the hub outward).
+PendantPath = tuple[str, int, int, range]  # hub, class, index i, edge ids from the hub outward
 
-    Paths come class by class (R/odd, R/even, L/odd, L/even, L/unit) and, in
-    a class, by index i, in the ascending order of the parity split.  On
-    right paths j grows from the hub; on left paths it falls to the pendant
-    edge's j = 1.
+
+def pendant_paths(p: Parameters) -> list[PendantPath]:
+    """Every pendant path, with its edge ids: the one edge layout.
+
+    The core takes the edge ids 0..s-1 (core/1..core/s); then each path in
+    turn takes the next ids, from its hub outward.  Paths come class by
+    class (R/odd, R/even, L/odd, L/even, L/unit) and, in a class, by index
+    i, in the ascending order of the parity split.  On right paths j grows
+    from the hub; on left paths it falls to the pendant edge's j = 1.
     """
     classes = (
         (HUB_RIGHT, KIND_R_ODD, [2 * xi + 1 for xi in p.x]),
         (HUB_RIGHT, KIND_R_EVEN, [2 * yi for yi in p.y]),
         (HUB_LEFT, KIND_L_ODD, [2 * wi + 1 for wi in p.w]),
         (HUB_LEFT, KIND_L_EVEN, [2 * zi for zi in p.z]),
+        (HUB_LEFT, KIND_L_UNIT, [1] * p.t),
     )
-    out = []
+    out, start = [], p.s
     for hub, kind, lengths in classes:
         for i, l in enumerate(lengths, start=1):
-            js = range(1, l + 1) if hub == HUB_RIGHT else range(l, 0, -1)
-            out.append((hub, [EdgeAddress(kind, i, j) for j in js]))
-    out.extend((HUB_LEFT, [EdgeAddress.l_unit(i)]) for i in range(1, p.t + 1))
+            out.append((hub, kind, i, range(start, start + l)))
+            start += l
+    return out
+
+
+def address_rows(p: Parameters) -> list[list[range]]:
+    """The edge ids in address order: rows[kind] lists each path's ids by ascending j.
+
+    The core is the one row of its kind; left rows are reversed paths.
+    """
+    rows: list[list[range]] = [[range(p.s)]] + [[] for _ in KIND_NAMES[1:]]
+    for hub, kind, _, ids in pendant_paths(p):
+        rows[kind].append(ids if hub == HUB_RIGHT else ids[::-1])
+    return rows
+
+
+def _js(hub: str, kind: int, ids: range) -> range:
+    """The position j of each edge of a path, from the hub outward (0 on a unit path)."""
+    if kind == KIND_L_UNIT:
+        return range(1)
+    return range(1, len(ids) + 1) if hub == HUB_RIGHT else range(len(ids), 0, -1)
+
+
+def edge_addresses(p: Parameters) -> list[EdgeAddress]:
+    """The address of every edge, by edge id."""
+    out = [EdgeAddress.core(j) for j in range(1, p.s + 1)]
+    for hub, kind, i, ids in pendant_paths(p):
+        out += [EdgeAddress(kind, i, j) for j in _js(hub, kind, ids)]
     return out
 
 
@@ -256,16 +291,37 @@ def pendant_paths(p: Parameters) -> list[tuple[str, list[EdgeAddress]]]:
 
 @dataclass(frozen=True)
 class SpiderTree:
-    """Materialized double spider: vertex ids, the address -> edge map, and the Tree on first use."""
+    """An instance and its parameters; vertex ids, edges, address -> edge map and Tree on first use."""
 
     instance: CanonicalDoubleSpider
     params: Parameters
-    vertices: tuple[str, ...]
-    edge_of: dict[EdgeAddress, Edge]
+
+    @cached_property
+    def _named(self) -> tuple[tuple[str, ...], list[Edge]]:
+        # core/2..core/s name the core's inner vertices; every other vertex
+        # is named by the address of the path edge that reaches it from its hub
+        p = self.params
+        vertices = [HUB_LEFT] + [f"core/{i}" for i in range(2, p.s + 1)] + [HUB_RIGHT]
+        edges = [edge_key(u, v) for u, v in zip(vertices, vertices[1:])]
+        for hub, kind, i, ids in pendant_paths(p):
+            near = hub
+            for j in _js(hub, kind, ids):
+                far = _address_text(kind, i, j)
+                vertices.append(far)
+                edges.append(edge_key(near, far))
+                near = far
+        return tuple(vertices), edges
+
+    vertices = property(lambda self: self._named[0])
+    edges = property(lambda self: self._named[1])  # each edge's endpoints, by edge id
+
+    @cached_property
+    def edge_of(self) -> dict[EdgeAddress, Edge]:
+        return dict(zip(edge_addresses(self.params), self.edges))
 
     @cached_property
     def tree(self) -> Tree:
-        tree = make_tree(self.vertices, self.edge_of.values())
+        tree = make_tree(self.vertices, self.edges)
         p = self.params
         assert tree.degree(HUB_LEFT) == p.deg_vl and tree.degree(HUB_RIGHT) == p.deg_vr
         assert sorted(v for v in tree.vertices if tree.degree(v) >= 3) == sorted([HUB_LEFT, HUB_RIGHT])
@@ -273,25 +329,8 @@ class SpiderTree:
 
 
 def materialize_tree(c: CanonicalDoubleSpider) -> SpiderTree:
-    """Name the vertices and edges of c, with vertex ids mirroring the address scheme.
-
-    The core's inner vertices are core/2..core/s; every other vertex is named
-    by the address of the path edge that reaches it from the hub's side.
-    """
-    p = derive_parameters(c)
-    core_chain = [HUB_LEFT] + [f"core/{i}" for i in range(2, p.s + 1)] + [HUB_RIGHT]
-    vertices: list[str] = list(core_chain)
-    edge_of: dict[EdgeAddress, Edge] = {}
-    for j in range(1, p.s + 1):
-        edge_of[EdgeAddress.core(j)] = edge_key(core_chain[j - 1], core_chain[j])
-    for hub, path in pendant_paths(p):
-        near = hub
-        for addr in path:
-            far = addr.text
-            vertices.append(far)
-            edge_of[addr] = edge_key(near, far)
-            near = far
-    return SpiderTree(instance=c, params=p, vertices=tuple(vertices), edge_of=edge_of)
+    """The instance c with its parameters, which fix its edge layout."""
+    return SpiderTree(instance=c, params=derive_parameters(c))
 
 
 # ---------------------------------------------------------------------------

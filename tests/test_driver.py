@@ -22,6 +22,8 @@ from antimagic.fileio import format_instance, format_labeling
 from antimagic.sweep import check_instance
 from antimagic.labelers import SPECIAL_INSTANCE_ASSIGNMENT
 from antimagic.labelers import SPECIAL_INSTANCE
+from antimagic.labeling import EdgeLabeling
+from antimagic.spiders import SpiderTree
 from antimagic.trees import make_tree
 
 
@@ -178,6 +180,21 @@ def test_label_and_verify_build_no_tree(spec, monkeypatch, tmp_path):
                  "--trace", str(tmp_path / "inst.trace")]) == 0
     assert main(["verify", "--spec", str(inst), "--labeling", str(lab), "--strong"]) == 0
     assert built == []
+
+
+def test_label_names_no_vertex_and_no_address(monkeypatch):
+    # the label path stays on edge ids: vertex ids and the address-keyed
+    # dict are built only when a caller reads them
+    def refuse(self):
+        raise AssertionError("built vertex ids or an address-keyed labeling")
+
+    monkeypatch.setattr(SpiderTree, "_named", property(refuse))
+    monkeypatch.setattr(EdgeLabeling, "assignment", property(refuse))
+    for spec in ROUTE_SPECS + list(enumerate_instances(9)):
+        lt = strongly_antimagic_label(spec)
+        assert lt.report.strong_ok
+    with pytest.raises(AssertionError, match="built vertex ids"):
+        lt.report.sums
 
 
 def test_oracle_cross_check_builds_one_tree(monkeypatch):

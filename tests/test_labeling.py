@@ -1,5 +1,7 @@
 """Vertex sums and the antimagic / strongly antimagic verifiers."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +20,7 @@ from antimagic import (
 )
 from antimagic.labelers import SPECIAL_INSTANCE_ASSIGNMENT
 from antimagic.labelers import SPECIAL_INSTANCE
-from antimagic.labeling import SumViolation, first_duplicate
+from antimagic.labeling import SumViolation, _strong_by_class, first_duplicate
 from antimagic.trees import edge_key, path_tree
 
 
@@ -256,3 +258,34 @@ def test_report_matches_quadratic_reference(case):
             u, v = pairs[0]
             expected = SumViolation(u, v, sums[u], sums[v], deg(u), deg(v), "duplicate-sum")
         assert first_duplicate(rep) == expected
+
+
+def test_flat_spider_verifier_matches_the_tree_verifier():
+    # every instance with m <= 12: the driver's labeling, three seeded
+    # one-swap tamperings and one repeated label, each checked flat on the
+    # spider and, as the reference, edge-keyed on its plain Tree
+    rng = random.Random(12)
+    keys = ("bijection_ok", "antimagic_ok", "strong_ok", "violation")
+    strong = weak = 0
+    for c in enumerate_instances(12):
+        lt = strongly_antimagic_label(c)
+        spider, p = lt.spider, lt.spider.params
+        cases = [list(lt.labeling.labels)]
+        for _ in range(3):
+            labels = list(cases[0])
+            a, b = rng.sample(range(p.m), 2)
+            labels[a], labels[b] = labels[b], labels[a]
+            cases.append(labels)
+        repeated = list(cases[0])
+        repeated[rng.randrange(p.m)] = repeated[rng.randrange(p.m)]
+        cases.append(repeated)
+        for labels in cases:
+            flat = vertex_sums(spider, EdgeLabeling.flat(p, labels))
+            ref = vertex_sums(spider.tree, dict(zip(spider.edge_of.values(), labels)))
+            assert [getattr(flat, k) for k in keys] == [getattr(ref, k) for k in keys]
+            assert flat.sums == ref.sums and flat.degree_classes == ref.degree_classes
+            if ref.bijection_ok:
+                assert _strong_by_class(p, labels) == ref.strong_ok
+                strong += ref.strong_ok
+                weak += not ref.strong_ok
+    assert strong > 843 and weak > 843

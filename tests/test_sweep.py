@@ -56,3 +56,28 @@ def test_check_instance_reports_oracle_disagreement(monkeypatch):
     c = canonicalize(DoubleSpiderSpec(2, (3, 1), (1, 1)))
     rec = check_instance(c, oracle_max=c.total_edges)
     assert not rec.ok and rec.detail == "oracle disagrees: none"
+
+
+def test_sweep_starts_a_pool_only_for_two_or_more_workers(monkeypatch):
+    made = []
+
+    class Pool:
+        """Stands in for ProcessPoolExecutor and maps in this process."""
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr("antimagic.sweep.ProcessPoolExecutor", Pool)
+    text = format_report(run_sweep(7))
+    assert made == []
+    assert format_report(run_sweep(7, workers=1)) == text and made == []
+    assert format_report(run_sweep(7, workers=2)) == text and made == [2]
