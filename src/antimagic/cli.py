@@ -25,7 +25,7 @@ from . import fileio
 from .driver import strongly_antimagic_label
 from .labeling import EdgeLabeling, first_duplicate, vertex_sums
 from .oracle import SearchBudget, find_antimagic, find_strongly_antimagic
-from .spiders import canonicalize, materialize_tree
+from .spiders import canonicalize, derive_parameters, materialize_tree
 from .sweep import format_report, run_sweep
 
 EXIT_OK = 0
@@ -91,12 +91,9 @@ def cmd_label(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    spec = fileio.parse_instance(_read(args.spec))
-    labeling = fileio.parse_labeling(_read(args.labeling))
-    fileio.check_labeling_size(spec, labeling)
-    spider = materialize_tree(canonicalize(spec))
-    fileio.check_labeling_matches(spider, labeling)
-    report = vertex_sums(spider, labeling)
+    c = canonicalize(fileio.parse_instance(_read(args.spec)))
+    labeling = fileio.parse_labeling(_read(args.labeling), derive_parameters(c))
+    report = vertex_sums(materialize_tree(c), labeling)
     if not report.bijection_ok:
         print("fail: labels are not a bijection onto 1..m")
         return EXIT_PROPERTY_FAIL
@@ -155,12 +152,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
-    spec = fileio.parse_instance(_read(args.spec))
+    c = canonicalize(fileio.parse_instance(_read(args.spec)))
     labeling = None
     if args.labeling:
-        labeling = fileio.parse_labeling(_read(args.labeling))
-        fileio.check_labeling_size(spec, labeling)
-    spider = materialize_tree(canonicalize(spec))
+        labeling = fileio.parse_labeling(_read(args.labeling), derive_parameters(c))
+    spider = materialize_tree(c)
     _write(args.out, fileio.export_dot(spider, labeling))
     return EXIT_OK
 

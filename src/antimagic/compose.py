@@ -121,7 +121,7 @@ def extend_leaf_levels(
     """
     _check_count(k)
     grown = grow_all_paths(c, k)
-    p, q = derive_parameters(c), derive_parameters(grown)
+    p, q = labeling.params or derive_parameters(c), derive_parameters(grown)
     n = len(c.left_lengths) + len(c.right_lengths)
     old = [lab + k * n for lab in labeling.by_id(p)]
     before = {path: ids for path, (*_, ids) in zip(_ranked_paths(q), _ranked_paths(p))}
@@ -146,7 +146,7 @@ def insert_unit_paths(
     """
     _check_side(side)
     _check_count(k)
-    p = derive_parameters(c)
+    p = labeling.params or derive_parameters(c)
     at = p.m if side == "left" else p.s + c.right_lengths.count(1)
     old = [lab + k for lab in labeling.by_id(p)]
     grown = add_unit_path(c, side, k)

@@ -12,17 +12,27 @@ Labeling file:
     edge = core/1, label = 3
     edge = L/odd/1/1, label = 6
     ...
+
+In both, lines starting with ``#`` and blank lines are skipped, keys may be
+in any case, and spaces may stand around ``=``, ``,`` and ``/``.  Labeling
+records may come in any order.
 """
 
 from __future__ import annotations
+
+import re
+from itertools import islice
+from typing import Iterable, Iterator
 
 from .labeling import EdgeLabeling
 from .spiders import (
     KIND_CORE,
     KIND_L_UNIT,
+    KIND_NAMES,
     CanonicalDoubleSpider,
     DoubleSpiderSpec,
     EdgeAddress,
+    Parameters,
     SpiderTree,
     address_rows,
     edge_addresses,
@@ -35,12 +45,7 @@ class FormatError(ValueError):
 
 
 def _clean_lines(text: str) -> list[str]:
-    out = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            out.append(line)
-    return out
+    return [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
 
 
 def parse_instance(text: str) -> DoubleSpiderSpec:
@@ -71,7 +76,49 @@ def format_instance(c: CanonicalDoubleSpider | DoubleSpiderSpec) -> str:
     return f"core = {c.core_length}\nleft = {left}\nright = {right}\n"
 
 
-def parse_labeling(text: str) -> EdgeLabeling:
+# A record line exactly as format_labeling writes it: the groups are core j,
+# unit i, path class, path i, path j and the label.
+_WRITTEN = (r"edge = (?:core/([0-9]+)|L/unit/([0-9]+)|([LR]/(?:odd|even))/([0-9]+)/([0-9]+))"
+            r", label = (-?[0-9]+)")
+
+
+def _records(lines: Iterable[str]) -> Iterator[tuple[int, int, int, int]]:
+    """Each record line's address (kind, i, j) and label, in line order."""
+    written = re.compile(_WRITTEN).fullmatch
+    for line in lines:
+        hit = written(line)
+        if hit:
+            j, unit, kind, i, pj, label = hit.groups()
+            if j:
+                yield KIND_CORE, 0, int(j), int(label)
+            elif unit:
+                yield KIND_L_UNIT, int(unit), 0, int(label)
+            else:
+                yield KIND_NAMES.index(kind), int(i), int(pj), int(label)
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 2:
+            raise FormatError(f"bad labeling record: {line!r}")
+        ekey, esep, etext = parts[0].partition("=")
+        lkey, lsep, ltext = parts[1].partition("=")
+        if not esep or ekey.strip().lower() != "edge" or not lsep or lkey.strip().lower() != "label":
+            raise FormatError(f"bad labeling record: {line!r}")
+        try:
+            yield (*parse_address(etext), int(ltext.strip()))
+        except ValueError as exc:
+            raise FormatError(str(exc)) from None
+
+
+def parse_labeling(text: str, p: Parameters | None = None) -> EdgeLabeling:
+    """The labeling in text: keyed by address, or flat in p's layout when p is given.
+
+    Read against p, the file must label exactly p's edges.  The first fault
+    is raised, in this order: a grammar error or a duplicate record, by line;
+    an m line or a record count other than p.m; the first five missing and
+    unknown addresses.  A record's edge id is its path's id at j, so no
+    address is built for a known edge, and the flat list is allocated only
+    when the m line and the record count both equal p.m.
+    """
     lines = _clean_lines(text)
     if not lines:
         raise FormatError("empty labeling file")
@@ -82,24 +129,37 @@ def parse_labeling(text: str) -> EdgeLabeling:
         m = int(value.strip())
     except ValueError:
         raise FormatError(f"bad edge count: {value.strip()!r}") from None
-    assignment: dict[EdgeAddress, int] = {}
-    for line in lines[1:]:
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 2:
-            raise FormatError(f"bad labeling record: {line!r}")
-        ekey, esep, etext = parts[0].partition("=")
-        lkey, lsep, ltext = parts[1].partition("=")
-        if not esep or ekey.strip().lower() != "edge" or not lsep or lkey.strip().lower() != "label":
-            raise FormatError(f"bad labeling record: {line!r}")
-        try:
-            addr = parse_address(etext)
-            label = int(ltext.strip())
-        except ValueError as exc:
-            raise FormatError(str(exc)) from None
-        if addr in assignment:
-            raise FormatError(f"duplicate edge record for {addr.text}")
-        assignment[addr] = label
-    return EdgeLabeling(total_edges=m, assignment=assignment)
+    rows = None if p is None else address_rows(p)
+    flat = [None] * m if p is not None and m == p.m == len(lines) - 1 else None
+    other: dict = {}  # label by address, or by edge id while flat is None
+    for kind, i, j, label in _records(islice(lines, 1, None)):
+        e = None
+        if rows is not None:
+            paths, r, at = rows[kind], i - (kind != KIND_CORE), j - (kind != KIND_L_UNIT)
+            if 0 <= r < len(paths) and 0 <= at < len(paths[r]):
+                e = paths[r][at]
+        if flat is not None and e is not None:
+            seen = flat[e] is not None
+            flat[e] = label
+        else:
+            key = EdgeAddress(kind, i, j) if e is None else e
+            seen = key in other
+            other[key] = label
+        if seen:
+            raise FormatError(f"duplicate edge record for {EdgeAddress(kind, i, j).text}")
+    if p is None:
+        return EdgeLabeling(m, other)
+    if m != p.m:
+        raise FormatError(f"labeling says m = {m} but the instance has {p.m} edges")
+    if len(lines) - 1 != p.m:
+        raise FormatError(f"labeling has {len(lines) - 1} edge records but the instance has {p.m} edges")
+    if other:
+        # every record is distinct, so as many edges are missing as addresses are unknown
+        missing = sorted(a for a, x in zip(edge_addresses(p), flat) if x is None)
+        raise FormatError("labeling does not match the instance: missing "
+                          + ", ".join(a.text for a in missing[:5]) + "; unknown "
+                          + ", ".join(a.text for a in sorted(other)[:5]))
+    return EdgeLabeling.flat(p, flat)
 
 
 def format_labeling(labeling: EdgeLabeling) -> str:
@@ -117,28 +177,10 @@ def format_labeling(labeling: EdgeLabeling) -> str:
     return "\n".join(lines) + "\n"
 
 
-def check_labeling_size(spec: DoubleSpiderSpec, labeling: EdgeLabeling) -> None:
-    """Raise FormatError unless the m line and the record count equal the spec's edge count."""
-    m, records = spec.total_edges, len(labeling.assignment)
-    if labeling.total_edges != m:
-        raise FormatError(f"labeling says m = {labeling.total_edges} but the instance has {m} edges")
-    if records != m:
-        raise FormatError(f"labeling has {records} edge records but the instance has {m} edges")
-
-
 def check_labeling_matches(spider: SpiderTree, labeling: EdgeLabeling) -> None:
-    """Raise FormatError unless the labeling covers exactly the instance's edges."""
-    expected = set(edge_addresses(spider.params))
-    got = set(labeling.assignment)
-    if got != expected:
-        missing = sorted(expected - got)
-        extra = sorted(got - expected)
-        parts = []
-        if missing:
-            parts.append("missing " + ", ".join(a.text for a in missing[:5]))
-        if extra:
-            parts.append("unknown " + ", ".join(a.text for a in extra[:5]))
-        raise FormatError("labeling does not match the instance: " + "; ".join(parts))
+    """Raise FormatError unless the labeling's file would read as a labeling of spider."""
+    if labeling.params != spider.params:
+        parse_labeling(format_labeling(labeling), spider.params)
 
 
 def export_dot(spider: SpiderTree, labeling: EdgeLabeling | None = None) -> str:

@@ -171,6 +171,136 @@ def test_verify_mismatched_labeling_is_malformed(tmp_path, special_spec):
     assert main(["verify", "--spec", str(special_spec), "--labeling", str(bad)]) == 1
 
 
+# the special instance's labeling, record by record, as `label` writes it
+RECORDS = [("core/1", 3), ("core/2", 8), ("R/odd/1/1", 1), ("R/odd/2/1", 4),
+           ("L/odd/1/1", 6), ("L/odd/1/2", 2), ("L/odd/1/3", 7), ("L/unit/1", 5)]
+
+
+def _lab(records, m=8):
+    return f"m = {m}\n" + "".join(f"edge = {a}, label = {x}\n" for a, x in records)
+
+
+def _moved(old, new):
+    return [(new if a == old else a, x) for a, x in RECORDS]
+
+
+# name -> (labeling text, `verify --strong` exit code, stdout, stderr), each
+# output as the address-keyed reader gave it before the flat one
+MALFORMED = {
+    "case-and-spacing": (
+        "M=8\n" + "".join(f"EDGE={' / '.join(a.split('/'))} ,LABEL= {x}\n" for a, x in RECORDS),
+        0, "ok: labeling is strongly antimagic\n", ""),
+    "mixed-case-keys": (
+        "  m =8 \n" + "".join(f"  Edge =  {a} , Label ={x}  \n" for a, x in RECORDS),
+        0, "ok: labeling is strongly antimagic\n", ""),
+    "comments-and-shuffle": (
+        "# a labeling\n\nm = 8\n"
+        + "".join(f"\n# record\nedge = {a}, label = {x}\n" for a, x in reversed(RECORDS)),
+        0, "ok: labeling is strongly antimagic\n", ""),
+    "duplicate-known": (
+        _lab(RECORDS[:-1] + [("core/1", 5)]),
+        1, "", "error: duplicate edge record for core/1\n"),
+    "duplicate-unknown": (
+        _lab(RECORDS[:2] + [("R/odd/3/1", 1), ("R/odd/3/1", 4)] + RECORDS[4:]),
+        1, "", "error: duplicate edge record for R/odd/3/1\n"),
+    "unknown-path-index": (
+        _lab(_moved("R/odd/2/1", "R/odd/3/1")),
+        1, "", "error: labeling does not match the instance: missing R/odd/2/1; unknown R/odd/3/1\n"),
+    "j-out-of-range": (
+        _lab(_moved("L/odd/1/3", "L/odd/1/4")),
+        1, "", "error: labeling does not match the instance: missing L/odd/1/3; unknown L/odd/1/4\n"),
+    "unit-with-j": (
+        _lab(_moved("L/unit/1", "L/unit/1/1")),
+        1, "", "error: bad edge address: ' L/unit/1/1'\n"),
+    "core-with-i": (
+        _lab(_moved("core/1", "core/1/1")),
+        1, "", "error: bad edge address: ' core/1/1'\n"),
+    "core-past-end": (
+        _lab(_moved("core/2", "core/3")),
+        1, "", "error: labeling does not match the instance: missing core/2; unknown core/3\n"),
+    "unit-past-end": (
+        _lab(_moved("L/unit/1", "L/unit/2")),
+        1, "", "error: labeling does not match the instance: missing L/unit/1; unknown L/unit/2\n"),
+    "zero-index": (
+        _lab(_moved("R/odd/1/1", "R/odd/0/1")),
+        1, "", "error: labeling does not match the instance: missing R/odd/1/1; unknown R/odd/0/1\n"),
+    "zero-j": (
+        _lab(_moved("L/odd/1/1", "L/odd/1/0")),
+        1, "", "error: labeling does not match the instance: missing L/odd/1/1; unknown L/odd/1/0\n"),
+    "negative-j": (
+        _lab(_moved("core/1", "core/-1")),
+        1, "", "error: labeling does not match the instance: missing core/1; unknown core/-1\n"),
+    "missing-record": (
+        _lab(RECORDS[:-1]),
+        1, "", "error: labeling has 7 edge records but the instance has 8 edges\n"),
+    "m-line-mismatch": (
+        _lab(RECORDS, m=9),
+        1, "", "error: labeling says m = 9 but the instance has 8 edges\n"),
+    "count-mismatch": (
+        _lab(RECORDS + [("R/odd/3/1", 9)]),
+        1, "", "error: labeling has 9 edge records but the instance has 8 edges\n"),
+    "non-integer-label": (
+        _lab(RECORDS[:-1] + [("L/unit/1", "x")]),
+        1, "", "error: invalid literal for int() with base 10: 'x'\n"),
+    "plus-label": (
+        _lab(RECORDS[:-1] + [("L/unit/1", "+5")]),
+        0, "ok: labeling is strongly antimagic\n", ""),
+    "underscore-label": (
+        _lab(RECORDS[:-1] + [("L/unit/1", "5_0")]),
+        2, "fail: labels are not a bijection onto 1..m\n", ""),
+    "negative-label": (
+        _lab(RECORDS[:-1] + [("L/unit/1", "-5")]),
+        2, "fail: labels are not a bijection onto 1..m\n", ""),
+    "leading-zeros": (
+        _lab([(a.replace("/1", "/01"), f"0{x}") for a, x in RECORDS]),
+        0, "ok: labeling is strongly antimagic\n", ""),
+    "fullwidth-digits": (
+        _lab([("core/\uff11", 3)] + RECORDS[1:-1] + [("L/unit/1", "\uff15")]),
+        0, "ok: labeling is strongly antimagic\n", ""),
+    "unknown-before-malformed": (
+        _lab(_moved("R/odd/2/1", "R/odd/3/1")[:-1]) + "edge = L/unit/1 label = 5\n",
+        1, "", "error: bad labeling record: 'edge = L/unit/1 label = 5'\n"),
+    "unknown-before-m-mismatch": (
+        _lab(_moved("R/odd/2/1", "R/odd/3/1"), m=9),
+        1, "", "error: labeling says m = 9 but the instance has 8 edges\n"),
+    "duplicate-before-m-mismatch": (
+        _lab(RECORDS[:-1] + [("core/2", 5)], m=7),
+        1, "", "error: duplicate edge record for core/2\n"),
+    "three-fields": (
+        _lab(RECORDS[:-1]) + "edge = L/unit/1, label = 5, x\n",
+        1, "", "error: bad labeling record: 'edge = L/unit/1, label = 5, x'\n"),
+    "no-m-line": (
+        _lab(RECORDS).split("\n", 1)[1],
+        1, "", "error: labeling file must start with an 'm = <int>' line\n"),
+    "m-only": (
+        "m = 8\n",
+        1, "", "error: labeling has 0 edge records but the instance has 8 edges\n"),
+    "swapped-labels": (
+        _lab([(a, {7: 1, 1: 7}.get(x, x)) for a, x in RECORDS]),
+        2, "fail: degree-order: phi(L/odd/1/1)=6 (deg 1) vs phi(L/odd/1/3)=3 (deg 2)\n", ""),
+    "many-unknown": (
+        _lab([("R/odd/9/9", 1), ("L/even/1/1", 2), ("L/unit/7", 3), ("core/9", 4),
+              ("R/even/1/2", 5), ("L/odd/2/1", 6), ("R/odd/1/1", 7), ("core/1", 8)]),
+        1, "", "error: labeling does not match the instance: missing core/2, R/odd/2/1, L/odd/1/1, "
+               "L/odd/1/2, L/odd/1/3; unknown core/9, R/odd/9/9, R/even/1/2, L/odd/2/1, L/even/1/1\n"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_verify_malformed_corpus(tmp_path, special_spec, capsys, name):
+    # export-dot reads with the same reader, so it fails as verify does
+    text, code, out, err = MALFORMED[name]
+    lab = tmp_path / "x.lab"
+    lab.write_text(text, encoding="utf-8")
+    assert main(["verify", "--spec", str(special_spec), "--labeling", str(lab), "--strong"]) == code
+    assert capsys.readouterr() == (out, err)
+    dot = tmp_path / "x.dot"
+    assert main(["export-dot", "--spec", str(special_spec), "--labeling", str(lab),
+                 "--out", str(dot)]) == (1 if code == 1 else 0)
+    assert capsys.readouterr() == ("", err)
+    assert dot.exists() == (code != 1)
+
+
 def test_sweep_small(tmp_path, capsys):
     report = tmp_path / "sweep.txt"
     assert main(["sweep", "--max-edges", "6", "--report", str(report)]) == 0

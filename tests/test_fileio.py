@@ -21,6 +21,7 @@ from antimagic.fileio import (
     parse_labeling,
 )
 from antimagic.labelers import SPECIAL_INSTANCE
+from antimagic.spiders import EdgeAddress, derive_parameters
 
 SPECIAL_TEXT = "core = 2\nleft = 3,1\nright = 1,1\n"
 
@@ -77,6 +78,59 @@ def test_labeling_repeated_label_is_parseable_not_a_format_error():
     # bijection failures are the verifier's business, not the parser's
     lab = parse_labeling("m = 2\nedge = core/1, label = 1\nedge = core/2, label = 1\n")
     assert sorted(lab.assignment.values()) == [1, 1]
+
+
+# the route specs of the CLI round trip, one per case route
+CI_ROUTE_SPECS = [
+    DoubleSpiderSpec(7, (1, 1, 1, 1, 1, 4001, 4002), (3, 4001)),
+    DoubleSpiderSpec(6, (1, 1, 1, 1, 1, 4001, 4002), (4, 4000)),
+    DoubleSpiderSpec(40, (1, 1, 1), (4000, 6000)),
+    DoubleSpiderSpec(9, (2000, 2001), (2000, 3000)),
+    DoubleSpiderSpec(3, (500, 501, 502, 503), (500, 600, 700, 800)),
+    DoubleSpiderSpec(5, (1,) * 3000 + (9,), (1,) * 2000),
+]
+
+
+def test_reading_a_written_labeling_gives_its_labels():
+    count = 0
+    for spec in [*enumerate_instances(12), *CI_ROUTE_SPECS]:
+        x = strongly_antimagic_label(spec).labeling
+        text = format_labeling(x)
+        back = parse_labeling(text, derive_parameters(canonicalize(spec)))
+        assert back.labels == x.labels and back.total_edges == x.total_edges
+        if x.total_edges <= 12:
+            assert parse_labeling(text).assignment == x.assignment
+        count += 1
+    assert count == 843 + 6
+
+
+def test_reading_a_written_labeling_builds_no_address(monkeypatch):
+    # a record as format_labeling writes it finds its edge id by arithmetic
+    def refuse(*args):
+        raise AssertionError("built an edge address")
+
+    spec = CI_ROUTE_SPECS[0]
+    x = strongly_antimagic_label(spec).labeling
+    text = format_labeling(x)
+    p = derive_parameters(canonicalize(spec))
+    monkeypatch.setattr(EdgeAddress, "__new__", refuse)
+    monkeypatch.setattr("antimagic.fileio.parse_address", refuse)
+    assert parse_labeling(text, p).labels == x.labels
+
+
+def test_reading_against_parameters_keeps_the_error_order():
+    p = derive_parameters(SPECIAL_INSTANCE)
+    text = format_labeling(strongly_antimagic_label(SPECIAL_INSTANCE).labeling)
+    unknown = text.replace("R/odd/2/1", "R/even/1/1")
+    with pytest.raises(FormatError, match="^labeling does not match the instance: "
+                                          "missing R/odd/2/1; unknown R/even/1/1$"):
+        parse_labeling(unknown, p)
+    with pytest.raises(FormatError, match="^labeling says m = 9 "):
+        parse_labeling(unknown.replace("m = 8", "m = 9"), p)
+    with pytest.raises(FormatError, match="^duplicate edge record for R/even/1/1$"):
+        parse_labeling(unknown.replace("m = 8", "m = 9") + "edge = R/even/1/1, label = 9\n", p)
+    # the address-keyed read checks only the grammar and duplicates
+    assert EdgeAddress.r_even(1, 1) in parse_labeling(unknown.replace("m = 8", "m = 9")).assignment
 
 
 def test_check_labeling_matches():
