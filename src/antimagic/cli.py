@@ -25,7 +25,7 @@ from . import fileio
 from .driver import strongly_antimagic_label
 from .labeling import EdgeLabeling, first_duplicate, vertex_sums
 from .oracle import SearchBudget, find_antimagic, find_strongly_antimagic
-from .spiders import canonicalize, derive_parameters, materialize_tree
+from .spiders import canonicalize, materialize_tree
 from .sweep import format_report, run_sweep
 
 EXIT_OK = 0
@@ -91,9 +91,9 @@ def cmd_label(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    c = canonicalize(fileio.parse_instance(_read(args.spec)))
-    labeling = fileio.parse_labeling(_read(args.labeling), derive_parameters(c))
-    report = vertex_sums(materialize_tree(c), labeling)
+    spider = materialize_tree(canonicalize(fileio.parse_instance(_read(args.spec))))
+    labeling = fileio.parse_labeling(_read(args.labeling), spider.params)
+    report = vertex_sums(spider, labeling)
     if not report.bijection_ok:
         print("fail: labels are not a bijection onto 1..m")
         return EXIT_PROPERTY_FAIL
@@ -152,11 +152,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
-    c = canonicalize(fileio.parse_instance(_read(args.spec)))
+    spider = materialize_tree(canonicalize(fileio.parse_instance(_read(args.spec))))
     labeling = None
     if args.labeling:
-        labeling = fileio.parse_labeling(_read(args.labeling), derive_parameters(c))
-    spider = materialize_tree(c)
+        labeling = fileio.parse_labeling(_read(args.labeling), spider.params)
     _write(args.out, fileio.export_dot(spider, labeling))
     return EXIT_OK
 

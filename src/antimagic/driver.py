@@ -70,18 +70,19 @@ def _from_steps(p: Parameters, steps: Steps, trace: list[str] | None) -> EdgeLab
     return EdgeLabeling.flat(p, steps.labels)
 
 
-def _note(trace: list[str] | None, text: str) -> None:
+def _note(trace: list[str] | None, text: str, *args) -> None:
+    """Append the comment line text.format(*args), built only when tracing."""
     if trace is not None:
-        trace.append(f"# {text}")
+        trace.append("# " + text.format(*args))
 
 
 def _label(c: CanonicalDoubleSpider, p: Parameters, trace: list[str] | None) -> EdgeLabeling:
     tag = classify(p)
     if tag is CaseTag.UNEQUAL_ODD_RIGHT:
-        _note(trace, f"direct odd-right labeling of {c.text}")
+        _note(trace, "direct odd-right labeling of {.text}", c)
         return _from_steps(p, odd_right_steps(p), trace)
     if tag is CaseTag.UNEQUAL_EVEN_RIGHT:
-        _note(trace, f"direct even-right labeling of {c.text}")
+        _note(trace, "direct even-right labeling of {.text}", c)
         return _from_steps(p, even_right_steps(p), trace)
     if tag is CaseTag.UNEQUAL_ALL_UNIT_RIGHT:
         return _label_all_unit_right(c, trace)
@@ -91,18 +92,18 @@ def _label(c: CanonicalDoubleSpider, p: Parameters, trace: list[str] | None) -> 
 def _label_residue(c: CanonicalDoubleSpider, trace: list[str] | None) -> EdgeLabeling:
     p = derive_parameters(c)
     if c == SPECIAL_INSTANCE:
-        _note(trace, f"fixed labeling of the special residue {c.text}")
+        _note(trace, "fixed labeling of the special residue {.text}", c)
         return _from_steps(p, special_instance_steps(), trace)
     if is_type_a(p):
-        _note(trace, f"type-(a) labeling of residue {c.text}")
+        _note(trace, "type-(a) labeling of residue {.text}", c)
         return _from_steps(p, type_a_steps(p), trace)
-    _note(trace, f"type-(b)/(c) labeling of residue {c.text}")
+    _note(trace, "type-(b)/(c) labeling of residue {.text}", c)
     return _from_steps(p, type_bc_steps(p), trace)
 
 
 def _note_replay(trace: list[str] | None, kind: str, k: int) -> None:
-    for _ in range(k):
-        _note(trace, f"replay {kind}")
+    if trace is not None:
+        trace.extend([f"# replay {kind}"] * k)
 
 
 def _label_all_unit_right(c: CanonicalDoubleSpider, trace: list[str] | None) -> EdgeLabeling:
@@ -111,7 +112,7 @@ def _label_all_unit_right(c: CanonicalDoubleSpider, trace: list[str] | None) -> 
     a = len(c.right_lengths) - 2
     b = min(c.left_lengths.count(1), len(c.left_lengths) - 2)
     cur = remove_unit_path(remove_unit_path(c, "right", a), "left", b)
-    _note(trace, f"reduced {c.text} by {a + b} unit removals")
+    _note(trace, "reduced {.text} by {} unit removals", c, a + b)
     labeling = _label_residue(cur, trace)
     if b:
         _note_replay(trace, "remove-unit-left", b)
@@ -127,13 +128,13 @@ def _label_equal_degrees(c: CanonicalDoubleSpider, high: bool,
     h = min(min(c.left_lengths), min(c.right_lengths))
     cur = delete_leaf_level(c, h - 1)
     if h > 1:
-        _note(trace, f"deleted {h - 1} leaf levels from {c.text}")
+        _note(trace, "deleted {} leaf levels from {.text}", h - 1, c)
     # The canonical orientation puts a shortest path on the right, so the
     # shrunken instance has a right unit path.
     assert 1 in cur.right_lengths
     if high:
         cur = remove_unit_path(cur, "right")
-        _note(trace, f"removed one right unit, recursing on {cur.text}")
+        _note(trace, "removed one right unit, recursing on {.text}", cur)
         labeling = _label(cur, derive_parameters(cur), trace)
         _note_replay(trace, "remove-unit-right", 1)
         cur, labeling = insert_unit_paths(cur, labeling, "right", 1)

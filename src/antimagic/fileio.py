@@ -29,6 +29,7 @@ from .spiders import (
     KIND_CORE,
     KIND_L_UNIT,
     KIND_NAMES,
+    KIND_R_ODD,
     CanonicalDoubleSpider,
     DoubleSpiderSpec,
     EdgeAddress,
@@ -37,6 +38,7 @@ from .spiders import (
     address_rows,
     edge_addresses,
     parse_address,
+    unit_runs,
 )
 
 
@@ -104,7 +106,7 @@ def _records(lines: Iterable[str]) -> Iterator[tuple[int, int, int, int]]:
         if not esep or ekey.strip().lower() != "edge" or not lsep or lkey.strip().lower() != "label":
             raise FormatError(f"bad labeling record: {line!r}")
         try:
-            yield (*parse_address(etext), int(ltext.strip()))
+            yield (*parse_address(etext.strip()), int(ltext.strip()))
         except ValueError as exc:
             raise FormatError(str(exc)) from None
 
@@ -115,9 +117,10 @@ def parse_labeling(text: str, p: Parameters | None = None) -> EdgeLabeling:
     Read against p, the file must label exactly p's edges.  The first fault
     is raised, in this order: a grammar error or a duplicate record, by line;
     an m line or a record count other than p.m; the first five missing and
-    unknown addresses.  A record's edge id is its path's id at j, so no
-    address is built for a known edge, and the flat list is allocated only
-    when the m line and the record count both equal p.m.
+    unknown addresses.  A record's edge id is its path's id at j, or its
+    place in its side's unit run, so no address is built for a known edge,
+    and the flat list is allocated only when the m line and the record count
+    both equal p.m.
     """
     lines = _clean_lines(text)
     if not lines:
@@ -129,15 +132,21 @@ def parse_labeling(text: str, p: Parameters | None = None) -> EdgeLabeling:
         m = int(value.strip())
     except ValueError:
         raise FormatError(f"bad edge count: {value.strip()!r}") from None
-    rows = None if p is None else address_rows(p)
+    rows = None
+    if p is not None:
+        rows, runs = address_rows(p, units=False), [range(0)] * len(KIND_NAMES)
+        runs[KIND_R_ODD], runs[KIND_L_UNIT] = unit_runs(p)
+        first = [len(run) + (kind != KIND_CORE) for kind, run in enumerate(runs)]  # i of rows[kind][0]
     flat = [None] * m if p is not None and m == p.m == len(lines) - 1 else None
     other: dict = {}  # label by address, or by edge id while flat is None
     for kind, i, j, label in _records(islice(lines, 1, None)):
         e = None
         if rows is not None:
-            paths, r, at = rows[kind], i - (kind != KIND_CORE), j - (kind != KIND_L_UNIT)
+            paths, r, at = rows[kind], i - first[kind], j - (kind != KIND_L_UNIT)
             if 0 <= r < len(paths) and 0 <= at < len(paths[r]):
                 e = paths[r][at]
+            elif -len(runs[kind]) <= r < 0 and at == 0:  # a unit path: the run leads its class
+                e = runs[kind][r]
         if flat is not None and e is not None:
             seen = flat[e] is not None
             flat[e] = label
@@ -163,17 +172,20 @@ def parse_labeling(text: str, p: Parameters | None = None) -> EdgeLabeling:
 
 
 def format_labeling(labeling: EdgeLabeling) -> str:
-    """The labeling file text; a flat labeling is written from its layout, row by row."""
+    """The labeling file text; a flat labeling is written from its layout, row by row
+    and each side's unit paths as one run."""
     lines, lab = [f"m = {labeling.total_edges}"], labeling.labels
     if lab is None:
         lines += (f"edge = {a.text}, label = {x}" for a, x in sorted(labeling.assignment.items()))
-    for kind, rows in enumerate(address_rows(labeling.params) if lab else ()):
-        for i, row in enumerate(rows, start=kind != KIND_CORE):
-            if kind == KIND_L_UNIT:
-                lines.append(f"edge = {EdgeAddress(kind, i).text}, label = {lab[row[0]]}")
-            else:
-                prefix = EdgeAddress(kind, i).text[:-1]  # the text up to j = 0
-                lines += (f"edge = {prefix}{j}, label = {lab[e]}" for j, e in enumerate(row, 1))
+        return "\n".join(lines) + "\n"
+    right, left = (lab[run.start:run.stop] for run in unit_runs(labeling.params))
+    for kind, rows in enumerate(address_rows(labeling.params, units=False)):
+        if kind == KIND_R_ODD:
+            lines += (f"edge = R/odd/{i}/1, label = {x}" for i, x in enumerate(right, 1))
+        for i, row in enumerate(rows, start=(kind != KIND_CORE) + len(right) * (kind == KIND_R_ODD)):
+            prefix = EdgeAddress(kind, i).text[:-1]  # the text up to j = 0
+            lines += (f"edge = {prefix}{j}, label = {lab[e]}" for j, e in enumerate(row, 1))
+    lines += (f"edge = L/unit/{i}, label = {x}" for i, x in enumerate(left, 1))
     return "\n".join(lines) + "\n"
 
 
@@ -184,17 +196,16 @@ def check_labeling_matches(spider: SpiderTree, labeling: EdgeLabeling) -> None:
 
 
 def export_dot(spider: SpiderTree, labeling: EdgeLabeling | None = None) -> str:
-    """Deterministic DOT text; vertex names are the canonical addresses."""
+    """Deterministic DOT text; vertex names are the canonical addresses, edges in address order."""
     if labeling is not None:
         check_labeling_matches(spider, labeling)
+        labels = labeling.by_id(spider.params)
     lines = ["graph doublespider {"]
-    for v in spider.vertices:
-        lines.append(f'  "{v}";')
-    for addr in sorted(spider.edge_of):
-        u, v = spider.edge_of[addr]
-        if labeling is None:
-            lines.append(f'  "{u}" -- "{v}";')
-        else:
-            lines.append(f'  "{u}" -- "{v}" [label={labeling.assignment[addr]}];')
+    lines += (f'  "{v}";' for v in spider.vertices)
+    edges = spider.edges
+    for e in (e for rows in address_rows(spider.params) for row in rows for e in row):
+        u, v = edges[e]
+        lines.append(f'  "{u}" -- "{v}";' if labeling is None
+                     else f'  "{u}" -- "{v}" [label={labels[e]}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -15,7 +15,8 @@ from itertools import groupby
 from operator import add
 from typing import Callable, Mapping
 
-from .spiders import HUB_LEFT, HUB_RIGHT, EdgeAddress, Parameters, SpiderTree, edge_addresses, pendant_paths
+from .spiders import (HUB_LEFT, HUB_RIGHT, EdgeAddress, Parameters, SpiderTree, edge_addresses,
+                      pendant_paths, unit_runs)
 from .trees import Edge, Tree, edge_key
 
 
@@ -165,16 +166,19 @@ def _strong_by_class(p: Parameters, lab: list[int]) -> bool:
 
     Inner sums add neighbouring edge ids along the core and each path, a leaf
     has its path's last edge, a hub its core end plus its paths' first edges.
-    Each degree class must have distinct sums, all above the class before.
+    A side's unit paths are one run of ids: its labels are leaf sums, and
+    their sum goes to the hub.  Each degree class must have distinct sums,
+    all above the class before.
     """
-    paths = pendant_paths(p)
+    paths = pendant_paths(p, units=False)
+    right, left = (lab[run.start:run.stop] for run in unit_runs(p))
     inner = list(map(add, lab[:p.s - 1], lab[1:p.s]))
-    hubs = {HUB_LEFT: lab[0], HUB_RIGHT: lab[p.s - 1]}
+    hubs = {HUB_LEFT: lab[0] + sum(left), HUB_RIGHT: lab[p.s - 1] + sum(right)}
     for hub, _, _, ids in paths:
         inner += map(add, lab[ids.start:ids.stop - 1], lab[ids.start + 1:ids.stop])
         hubs[hub] += lab[ids.start]
     vl, vr = hubs[HUB_LEFT], hubs[HUB_RIGHT]
-    classes = [[lab[ids[-1]] for *_, ids in paths], inner]
+    classes = [right + left + [lab[ids[-1]] for *_, ids in paths], inner]
     classes += [[vr, vl]] if p.deg_vl == p.deg_vr else [[vr], [vl]]
     top = 0
     for sums in classes:

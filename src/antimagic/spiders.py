@@ -15,17 +15,13 @@ import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .trees import Edge, Tree, edge_key, make_tree
 
 
 class InvalidSpider(ValueError):
     """The given data does not describe a double spider."""
-
-
-def _lengths(values: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(int(v) for v in values))
 
 
 @dataclass(frozen=True)
@@ -37,14 +33,16 @@ class DoubleSpiderSpec:
     right_lengths: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "left_lengths", _lengths(self.left_lengths))
-        object.__setattr__(self, "right_lengths", _lengths(self.right_lengths))
+        left = tuple(sorted(map(int, self.left_lengths)))
+        right = tuple(sorted(map(int, self.right_lengths)))
+        object.__setattr__(self, "left_lengths", left)
+        object.__setattr__(self, "right_lengths", right)
         if self.core_length < 1:
             raise InvalidSpider("core length must be >= 1")
-        for side, lengths in (("left", self.left_lengths), ("right", self.right_lengths)):
+        for side, lengths in (("left", left), ("right", right)):
             if len(lengths) < 2:
                 raise InvalidSpider(f"{side} side needs at least 2 paths (hub degree >= 3)")
-            if any(l < 1 for l in lengths):
+            if lengths[0] < 1:  # the shortest, as the lengths are sorted
                 raise InvalidSpider(f"{side} side has a non-positive path length")
 
     @property
@@ -130,11 +128,13 @@ class Parameters:
 
 def derive_parameters(c: CanonicalDoubleSpider) -> Parameters:
     """Split both sides into parity classes and count the edges and hub degrees."""
-    x = tuple((l - 1) // 2 for l in c.right_lengths if l % 2 == 1)
-    y = tuple(l // 2 for l in c.right_lengths if l % 2 == 0)
-    t = sum(1 for l in c.left_lengths if l == 1)
-    w = tuple((l - 1) // 2 for l in c.left_lengths if l % 2 == 1 and l > 1)
-    z = tuple(l // 2 for l in c.left_lengths if l % 2 == 0)
+    # the lengths ascend, so each side's unit paths lead it and are counted, not walked
+    units, t = c.right_lengths.count(1), c.left_lengths.count(1)
+    right, left = c.right_lengths[units:], c.left_lengths[t:]
+    x = (0,) * units + tuple((l - 1) // 2 for l in right if l % 2 == 1)
+    y = tuple(l // 2 for l in right if l % 2 == 0)
+    w = tuple((l - 1) // 2 for l in left if l % 2 == 1)
+    z = tuple(l // 2 for l in left if l % 2 == 0)
     s = c.core_length
     p = Parameters(
         a=len(x), b=len(y), c=len(w), d=len(z), t=t, s=s,
@@ -144,8 +144,7 @@ def derive_parameters(c: CanonicalDoubleSpider) -> Parameters:
         deg_vr=len(c.right_lengths) + 1,
     )
     assert all(wi >= 1 for wi in w)
-    assert p.m == (s + sum(2 * xi + 1 for xi in x) + 2 * sum(y)
-                   + sum(2 * wi + 1 for wi in w) + 2 * sum(z) + t)
+    assert p.m == s + 2 * sum(x) + p.a + 2 * sum(y) + 2 * sum(w) + p.c + 2 * sum(z) + t
     return p
 
 
@@ -234,7 +233,7 @@ HUB_RIGHT = "vr"
 PendantPath = tuple[str, int, int, range]  # hub, class, index i, edge ids from the hub outward
 
 
-def pendant_paths(p: Parameters) -> list[PendantPath]:
+def pendant_paths(p: Parameters, units: bool = True) -> list[PendantPath]:
     """Every pendant path, with its edge ids: the one edge layout.
 
     The core takes the edge ids 0..s-1 (core/1..core/s); then each path in
@@ -242,29 +241,44 @@ def pendant_paths(p: Parameters) -> list[PendantPath]:
     class (R/odd, R/even, L/odd, L/even, L/unit) and, in a class, by index
     i, in the ascending order of the parity split.  On right paths j grows
     from the hub; on left paths it falls to the pendant edge's j = 1.
+
+    The unit paths (half-length 0) lead their class, and only the first
+    class and the last hold any, so each side's unit paths take one run of
+    ids: unit_runs(p).  With units False they are left out.
     """
     classes = (
-        (HUB_RIGHT, KIND_R_ODD, [2 * xi + 1 for xi in p.x]),
-        (HUB_RIGHT, KIND_R_EVEN, [2 * yi for yi in p.y]),
-        (HUB_LEFT, KIND_L_ODD, [2 * wi + 1 for wi in p.w]),
-        (HUB_LEFT, KIND_L_EVEN, [2 * zi for zi in p.z]),
-        (HUB_LEFT, KIND_L_UNIT, [1] * p.t),
+        (HUB_RIGHT, KIND_R_ODD, 1, p.x),
+        (HUB_RIGHT, KIND_R_EVEN, 0, p.y),
+        (HUB_LEFT, KIND_L_ODD, 1, p.w),
+        (HUB_LEFT, KIND_L_EVEN, 0, p.z),
+        (HUB_LEFT, KIND_L_UNIT, 1, (0,) * p.t),
     )
     out, start = [], p.s
-    for hub, kind, lengths in classes:
-        for i, l in enumerate(lengths, start=1):
-            out.append((hub, kind, i, range(start, start + l)))
-            start += l
+    for hub, kind, odd, halves in classes:
+        skip = 0 if units else halves.count(0)
+        start += skip
+        for i, h in enumerate(halves[skip:], start=skip + 1):
+            out.append((hub, kind, i, range(start, start + 2 * h + odd)))
+            start += 2 * h + odd
     return out
 
 
-def address_rows(p: Parameters) -> list[list[range]]:
+def unit_runs(p: Parameters) -> tuple[range, range]:
+    """The edge ids of the right unit paths (R/odd/1..) and of the left ones (L/unit/1..).
+
+    In pendant_paths' order these are the ids just after the core and the last t ids.
+    """
+    return range(p.s, p.s + p.x.count(0)), range(p.m - p.t, p.m)
+
+
+def address_rows(p: Parameters, units: bool = True) -> list[list[range]]:
     """The edge ids in address order: rows[kind] lists each path's ids by ascending j.
 
-    The core is the one row of its kind; left rows are reversed paths.
+    The core is the one row of its kind; left rows are reversed paths.  With
+    units False the unit paths have no rows (see unit_runs).
     """
     rows: list[list[range]] = [[range(p.s)]] + [[] for _ in KIND_NAMES[1:]]
-    for hub, kind, _, ids in pendant_paths(p):
+    for hub, kind, _, ids in pendant_paths(p, units):
         rows[kind].append(ids if hub == HUB_RIGHT else ids[::-1])
     return rows
 
@@ -352,7 +366,7 @@ def classify(p: Parameters) -> CaseTag:
         return CaseTag.EQUAL_DEG3 if p.deg_vl == 3 else CaseTag.EQUAL_DEG_HIGH
     if p.b >= 1:
         return CaseTag.UNEQUAL_EVEN_RIGHT
-    if any(xi >= 1 for xi in p.x):
+    if max(p.x, default=0) >= 1:
         return CaseTag.UNEQUAL_ODD_RIGHT
     return CaseTag.UNEQUAL_ALL_UNIT_RIGHT
 

@@ -1,8 +1,11 @@
 """Command line interface: exit codes, file outputs, determinism."""
 
+import hashlib
+
 import pytest
 
 from antimagic.cli import main
+from antimagic.spiders import SpiderTree
 
 SPECIAL = "core = 2\nleft = 3,1\nright = 1,1\n"
 
@@ -211,10 +214,10 @@ MALFORMED = {
         1, "", "error: labeling does not match the instance: missing L/odd/1/3; unknown L/odd/1/4\n"),
     "unit-with-j": (
         _lab(_moved("L/unit/1", "L/unit/1/1")),
-        1, "", "error: bad edge address: ' L/unit/1/1'\n"),
+        1, "", "error: bad edge address: 'L/unit/1/1'\n"),
     "core-with-i": (
         _lab(_moved("core/1", "core/1/1")),
-        1, "", "error: bad edge address: ' core/1/1'\n"),
+        1, "", "error: bad edge address: 'core/1/1'\n"),
     "core-past-end": (
         _lab(_moved("core/2", "core/3")),
         1, "", "error: labeling does not match the instance: missing core/2; unknown core/3\n"),
@@ -413,7 +416,9 @@ def test_labeling_size_checked_before_materializing(tmp_path, special_spec, caps
     lab.write_text(lab.read_text().replace("m = 8", m_line))
     huge = tmp_path / "huge.txt"
     huge.write_text("core = 1000000000\nleft = 3,1\nright = 1,1\n")
-    monkeypatch.setattr("antimagic.cli.materialize_tree", refuse_to_materialize)
+    # materialize_tree only derives the parameters; naming the vertices and
+    # edges is the per-edge work that a rejected labeling must not start
+    monkeypatch.setattr(SpiderTree, "_named", property(refuse_to_materialize))
     monkeypatch.chdir(tmp_path)
     name, *rest = command
     assert main([name, "--spec", str(huge), "--labeling", str(lab), *rest]) == 1
@@ -456,3 +461,20 @@ def test_sweep_workers_match_sequential():
     seq = run_sweep(8)
     par = run_sweep(8, workers=2)
     assert seq.records == par.records
+
+
+def test_all_unit_right_files_are_pinned(tmp_path):
+    # the CI all-unit-right spec: core 5, left 3000 units and a 9, right 2000
+    # units; each side's unit paths are written as one run of records
+    spec = tmp_path / "unit.txt"
+    spec.write_text(f"core = 5\nleft = {','.join(['1'] * 3000)},9\nright = {','.join(['1'] * 2000)}\n")
+    out, dot, trace = (tmp_path / f"unit.{x}" for x in ("lab", "dot", "trace"))
+    assert main(["label", "--spec", str(spec), "--out", str(out), "--dot", str(dot),
+                 "--trace", str(trace)]) == 0
+    digests = [hashlib.sha256(f.read_bytes()).hexdigest() for f in (out, dot, trace)]
+    assert digests == ["1b1243b4e09bc617f9dd574b3b46fd64c5236624d2accae9e7280e3ad307a4d5",
+                       "bcab2dd142f3987e3552d9fd0ef682bc3d57bc0d4a81fd855d6f14f1b128bf76",
+                       "97bc209e2ab1b8dc5040b79c501c6f4faec6f519637926b5073456ab7c9e89ee"]
+    assert main(["verify", "--spec", str(spec), "--labeling", str(out), "--strong"]) == 0
+    assert main(["export-dot", "--spec", str(spec), "--labeling", str(out), "--out", str(dot)]) == 0
+    assert hashlib.sha256(dot.read_bytes()).hexdigest() == digests[1]

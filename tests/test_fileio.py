@@ -21,7 +21,7 @@ from antimagic.fileio import (
     parse_labeling,
 )
 from antimagic.labelers import SPECIAL_INSTANCE
-from antimagic.spiders import EdgeAddress, derive_parameters
+from antimagic.spiders import KIND_CORE, KIND_L_UNIT, EdgeAddress, derive_parameters, edge_addresses
 
 SPECIAL_TEXT = "core = 2\nleft = 3,1\nright = 1,1\n"
 
@@ -172,3 +172,31 @@ def test_export_dot_rejects_mismatch():
     other = strongly_antimagic_label(DoubleSpiderSpec(1, (1, 1), (1, 1)))
     with pytest.raises(FormatError):
         export_dot(spider, other.labeling)
+
+
+def test_reader_places_records_around_the_unit_runs():
+    # each record of a file moved to a neighbouring address (i or j one off):
+    # the reader takes the unit records by their place in a side's run and
+    # the rest by row, and must agree with the instance's address set
+    for spec in (DoubleSpiderSpec(2, (1, 1, 1, 3, 4), (1, 1, 1, 3)),
+                 DoubleSpiderSpec(3, (1, 1, 1, 1, 2), (1, 1, 1)),
+                 DoubleSpiderSpec(1, (5, 6, 2), (1, 3))):
+        lt = strongly_antimagic_label(spec)
+        p, text = lt.spider.params, format_labeling(lt.labeling)
+        addresses = edge_addresses(p)
+        known = {a.text for a in addresses}
+        for a in addresses:
+            for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+                moved = EdgeAddress(a.kind, a.i + di * (a.kind != KIND_CORE),
+                                    a.j + dj * (a.kind != KIND_L_UNIT)).text
+                if moved == a.text:
+                    continue
+                changed = text.replace(f"edge = {a.text},", f"edge = {moved},")
+                with pytest.raises(FormatError) as err:
+                    parse_labeling(changed, p)
+                if moved in known:
+                    assert str(err.value) == f"duplicate edge record for {moved}"
+                else:
+                    assert str(err.value) == (f"labeling does not match the instance: "
+                                              f"missing {a.text}; unknown {moved}")
+        assert parse_labeling(text, p).labels == lt.labeling.labels

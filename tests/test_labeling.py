@@ -11,6 +11,7 @@ from antimagic import (
     EdgeLabeling,
     LabelingError,
     canonicalize,
+    classify,
     enumerate_instances,
     materialize_tree,
     strongly_antimagic_label,
@@ -20,7 +21,8 @@ from antimagic import (
 )
 from antimagic.labelers import SPECIAL_INSTANCE_ASSIGNMENT
 from antimagic.labelers import SPECIAL_INSTANCE
-from antimagic.labeling import SumViolation, _strong_by_class, first_duplicate
+from antimagic.labeling import SumViolation, _first_pair, _strong_by_class, first_duplicate
+from antimagic.spiders import pendant_paths, unit_runs
 from antimagic.trees import edge_key, path_tree
 
 
@@ -289,3 +291,80 @@ def test_flat_spider_verifier_matches_the_tree_verifier():
                 strong += ref.strong_ok
                 weak += not ref.strong_ok
     assert strong > 843 and weak > 843
+
+
+def _many_unit_specs(rng):
+    """Specs with 20-300 unit paths on a side and at most three longer paths
+    there; every third one has only unit paths on the right, and every third
+    one equal hub degrees."""
+    specs = []
+    for k in range(12):
+        left, right = ([1] * rng.randint(20, 300) + [rng.randint(2, 9) for _ in range(rng.randint(0, 3))]
+                       for _ in range(2))
+        if k % 3 == 0:
+            right = [1] * rng.randint(20, 300)
+        elif k % 3 == 1:
+            right = [1] * (len(left) - 2) + [rng.randint(2, 9), rng.randint(2, 9)]
+        specs.append(DoubleSpiderSpec(rng.randint(1, 6), tuple(left), tuple(right)))
+    return specs
+
+
+def test_flat_verifier_matches_the_tree_verifier_on_many_unit_paths():
+    # the driver's labeling, then one-swap tamperings that trade a unit
+    # path's label (either side's run) for a hub edge's (a core end or a
+    # long path's first edge) and for any long-path edge's
+    rng = random.Random(25)
+    keys = ("bijection_ok", "antimagic_ok", "strong_ok", "violation")
+    outcomes, routes = set(), set()
+    for spec in _many_unit_specs(rng):
+        lt = strongly_antimagic_label(spec)
+        spider, p = lt.spider, lt.spider.params
+        long_paths = [ids for *_, ids in pendant_paths(p, units=False)]
+        units = [e for run in unit_runs(p) for e in run]
+        hub_edges = [0, p.s - 1] + [ids[0] for ids in long_paths]
+        cases = [list(lt.labeling.labels)]
+        for pool in (hub_edges, [e for ids in long_paths for e in ids]):
+            for _ in range(6):
+                labels = list(cases[0])
+                a, b = rng.choice(units), rng.choice(pool) if pool else rng.choice(units)
+                labels[a], labels[b] = labels[b], labels[a]
+                cases.append(labels)
+        for labels in cases:
+            flat = vertex_sums(spider, EdgeLabeling.flat(p, labels))
+            ref = vertex_sums(spider.tree, dict(zip(spider.edge_of.values(), labels)))
+            assert [getattr(flat, k) for k in keys] == [getattr(ref, k) for k in keys]
+            assert flat.sums == ref.sums
+            assert _strong_by_class(p, labels) == ref.strong_ok
+            outcomes.add(ref.violation.reason if ref.violation else "strong")
+        routes.add(classify(p))
+    assert outcomes == {"strong", "duplicate-sum", "degree-order"} and len(routes) == 4
+
+
+class _CountedSlices(list):
+    """A vertex order that counts the tails _first_pair slices off it."""
+
+    tails = 0
+
+    def __getitem__(self, key):
+        self.tails += isinstance(key, slice)
+        return super().__getitem__(key)
+
+
+def test_first_pair_scans_at_most_one_tail():
+    # the pairwise scan runs in O(V) plus the tail of the one vertex that it
+    # reports: a strong labeling scans none, a failing one exactly one
+    strong = set()
+    for spec in _many_unit_specs(random.Random(9))[:4]:
+        lt = strongly_antimagic_label(spec)
+        labels = list(lt.labeling.labels)
+        for swap in (False, True):
+            if swap:  # labels 1 and m trade edges
+                a, b = labels.index(1), labels.index(len(labels))
+                labels[a], labels[b] = labels[b], labels[a]
+            report = vertex_sums(lt.spider, EdgeLabeling.flat(lt.spider.params, labels))
+            sums, degrees = report.sums, report._tables[1]
+            order = _CountedSlices(sorted(sums, key=lambda v: (degrees[v], v)))
+            assert _first_pair(order, sums, degrees) == report.violation
+            assert order.tails == (report.violation is not None)
+            strong.add(report.strong_ok)
+    assert strong == {True, False}

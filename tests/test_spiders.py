@@ -19,7 +19,7 @@ from antimagic import (
     parse_address,
 )
 from antimagic.labelers import SPECIAL_INSTANCE
-from antimagic.spiders import KIND_CORE
+from antimagic.spiders import KIND_CORE, KIND_L_UNIT, KIND_R_ODD, address_rows, pendant_paths, unit_runs
 
 
 def spec(core, left, right):
@@ -78,6 +78,21 @@ def test_invalid_specs_rejected(core, left, right):
     for make in (DoubleSpiderSpec, CanonicalDoubleSpider):
         with pytest.raises(InvalidSpider):
             make(core, left, right)
+
+
+@pytest.mark.parametrize("core,left,right,message", [
+    (0, (1,), (0,), "core length must be >= 1"),
+    (1, (1,), (0,), "left side needs at least 2 paths (hub degree >= 3)"),
+    (1, (4, 0, 2), (1,), "left side has a non-positive path length"),
+    (1, (2, 3), (5, 1, -1, 2), "right side has a non-positive path length"),
+    (1, [3.0, "2"], (1, 1, 0), "right side has a non-positive path length"),
+])
+def test_invalid_spec_messages(core, left, right, message):
+    # the checks run in this order, on the lengths as sorted ints
+    with pytest.raises(InvalidSpider) as err:
+        DoubleSpiderSpec(core, left, right)
+    assert str(err.value) == message
+    assert DoubleSpiderSpec(1, [3.0, "2"], (1, 1)).left_lengths == (2, 3)
 
 
 def test_canonical_rejects_more_right_paths():
@@ -292,3 +307,23 @@ def _ahu_form(tree):
 def test_enumeration_isomorphism_free():
     forms = [_ahu_form(materialize_tree(c).tree) for c in enumerate_instances(10)]
     assert len(forms) == len(set(forms))
+
+
+def test_unit_runs_are_the_unit_paths_of_the_layout():
+    # every instance with m <= 12, then two with hundreds of unit paths
+    instances = list(enumerate_instances(12))
+    instances += [canonicalize(spec(3, [1] * 300 + [4, 7], [1] * 200)),
+                  canonicalize(spec(2, [1] * 250 + [5], [1] * 120 + [3, 6]))]
+    for c in instances:
+        p = derive_parameters(c)
+        paths = pendant_paths(p)
+        units = [path for path in paths if len(path[3]) == 1]
+        assert pendant_paths(p, units=False) == [path for path in paths if len(path[3]) > 1]
+        right, left = unit_runs(p)
+        assert [(hub, kind, i, ids[0]) for hub, kind, i, ids in units] == (
+            [("vr", KIND_R_ODD, i, e) for i, e in enumerate(right, 1)]
+            + [("vl", KIND_L_UNIT, i, e) for i, e in enumerate(left, 1)])
+        rows = address_rows(p)
+        rows[KIND_R_ODD] = rows[KIND_R_ODD][len(right):]
+        rows[KIND_L_UNIT] = []
+        assert address_rows(p, units=False) == rows
