@@ -121,9 +121,9 @@ def extend_leaf_levels(
     """
     _check_count(k)
     grown = grow_all_paths(c, k)
-    p, q = labeling.params or derive_parameters(c), derive_parameters(grown)
+    p, q = labeling.params, derive_parameters(grown)
     n = len(c.left_lengths) + len(c.right_lengths)
-    old = [lab + k * n for lab in labeling.by_id(p)]
+    old = [lab + k * n for lab in labeling.labels]
     before = {path: ids for path, (*_, ids) in zip(_ranked_paths(q), _ranked_paths(p))}
     rank = {lab: r for r, lab in enumerate(sorted(old[ids[-1]] for ids in before.values()), 1)}
     new = old[:p.s]
@@ -146,9 +146,9 @@ def insert_unit_paths(
     """
     _check_side(side)
     _check_count(k)
-    p = labeling.params or derive_parameters(c)
+    p = labeling.params
     at = p.m if side == "left" else p.s + c.right_lengths.count(1)
-    old = [lab + k for lab in labeling.by_id(p)]
+    old = [lab + k for lab in labeling.labels]
     grown = add_unit_path(c, side, k)
     new = old[:at] + list(range(k, 0, -1)) + old[at:]
     return grown, EdgeLabeling.flat(derive_parameters(grown), new)

@@ -111,16 +111,15 @@ def _records(lines: Iterable[str]) -> Iterator[tuple[int, int, int, int]]:
             raise FormatError(str(exc)) from None
 
 
-def parse_labeling(text: str, p: Parameters | None = None) -> EdgeLabeling:
-    """The labeling in text: keyed by address, or flat in p's layout when p is given.
+def parse_labeling(text: str, p: Parameters) -> EdgeLabeling:
+    """The labeling in text, flat in p's layout; the file must label exactly p's edges.
 
-    Read against p, the file must label exactly p's edges.  The first fault
-    is raised, in this order: a grammar error or a duplicate record, by line;
-    an m line or a record count other than p.m; the first five missing and
-    unknown addresses.  A record's edge id is its path's id at j, or its
-    place in its side's unit run, so no address is built for a known edge,
-    and the flat list is allocated only when the m line and the record count
-    both equal p.m.
+    The first fault is raised, in this order: a grammar error or a duplicate
+    record, by line; an m line or a record count other than p.m; the first
+    five missing and unknown addresses.  A record's edge id is its path's id
+    at j, or its place in its side's unit run, so no address is built for a
+    known edge, and the flat list is allocated only when the m line and the
+    record count both equal p.m.
     """
     lines = _clean_lines(text)
     if not lines:
@@ -132,21 +131,18 @@ def parse_labeling(text: str, p: Parameters | None = None) -> EdgeLabeling:
         m = int(value.strip())
     except ValueError:
         raise FormatError(f"bad edge count: {value.strip()!r}") from None
-    rows = None
-    if p is not None:
-        rows, runs = address_rows(p, units=False), [range(0)] * len(KIND_NAMES)
-        runs[KIND_R_ODD], runs[KIND_L_UNIT] = unit_runs(p)
-        first = [len(run) + (kind != KIND_CORE) for kind, run in enumerate(runs)]  # i of rows[kind][0]
-    flat = [None] * m if p is not None and m == p.m == len(lines) - 1 else None
-    other: dict = {}  # label by address, or by edge id while flat is None
+    rows, runs = address_rows(p, units=False), [range(0)] * len(KIND_NAMES)
+    runs[KIND_R_ODD], runs[KIND_L_UNIT] = unit_runs(p)
+    first = [len(run) + (kind != KIND_CORE) for kind, run in enumerate(runs)]  # i of rows[kind][0]
+    flat = [None] * m if m == p.m == len(lines) - 1 else None
+    other: dict = {}  # label by unknown address, and by edge id while flat is None
     for kind, i, j, label in _records(islice(lines, 1, None)):
         e = None
-        if rows is not None:
-            paths, r, at = rows[kind], i - first[kind], j - (kind != KIND_L_UNIT)
-            if 0 <= r < len(paths) and 0 <= at < len(paths[r]):
-                e = paths[r][at]
-            elif -len(runs[kind]) <= r < 0 and at == 0:  # a unit path: the run leads its class
-                e = runs[kind][r]
+        paths, r, at = rows[kind], i - first[kind], j - (kind != KIND_L_UNIT)
+        if 0 <= r < len(paths) and 0 <= at < len(paths[r]):
+            e = paths[r][at]
+        elif -len(runs[kind]) <= r < 0 and at == 0:  # a unit path: the run leads its class
+            e = runs[kind][r]
         if flat is not None and e is not None:
             seen = flat[e] is not None
             flat[e] = label
@@ -156,8 +152,6 @@ def parse_labeling(text: str, p: Parameters | None = None) -> EdgeLabeling:
             other[key] = label
         if seen:
             raise FormatError(f"duplicate edge record for {EdgeAddress(kind, i, j).text}")
-    if p is None:
-        return EdgeLabeling(m, other)
     if m != p.m:
         raise FormatError(f"labeling says m = {m} but the instance has {p.m} edges")
     if len(lines) - 1 != p.m:
@@ -172,12 +166,9 @@ def parse_labeling(text: str, p: Parameters | None = None) -> EdgeLabeling:
 
 
 def format_labeling(labeling: EdgeLabeling) -> str:
-    """The labeling file text; a flat labeling is written from its layout, row by row
-    and each side's unit paths as one run."""
+    """The labeling file text, in address order: written from the layout row by
+    row, and each side's unit paths as one run."""
     lines, lab = [f"m = {labeling.total_edges}"], labeling.labels
-    if lab is None:
-        lines += (f"edge = {a.text}, label = {x}" for a, x in sorted(labeling.assignment.items()))
-        return "\n".join(lines) + "\n"
     right, left = (lab[run.start:run.stop] for run in unit_runs(labeling.params))
     for kind, rows in enumerate(address_rows(labeling.params, units=False)):
         if kind == KIND_R_ODD:
@@ -189,17 +180,12 @@ def format_labeling(labeling: EdgeLabeling) -> str:
     return "\n".join(lines) + "\n"
 
 
-def check_labeling_matches(spider: SpiderTree, labeling: EdgeLabeling) -> None:
-    """Raise FormatError unless the labeling's file would read as a labeling of spider."""
-    if labeling.params != spider.params:
-        parse_labeling(format_labeling(labeling), spider.params)
-
-
 def export_dot(spider: SpiderTree, labeling: EdgeLabeling | None = None) -> str:
     """Deterministic DOT text; vertex names are the canonical addresses, edges in address order."""
     if labeling is not None:
-        check_labeling_matches(spider, labeling)
-        labels = labeling.by_id(spider.params)
+        if labeling.params != spider.params:
+            raise FormatError("labeling does not match the instance")
+        labels = labeling.labels
     lines = ["graph doublespider {"]
     lines += (f'  "{v}";' for v in spider.vertices)
     edges = spider.edges

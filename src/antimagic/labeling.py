@@ -9,13 +9,15 @@ antimagic when additionally deg(u) < deg(v) implies sum(u) < sum(v).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
 from operator import add
 from typing import Callable, Mapping
 
-from .spiders import (HUB_LEFT, HUB_RIGHT, EdgeAddress, Parameters, SpiderTree, edge_addresses,
+from .spiders import (HUB_LEFT, HUB_RIGHT, KIND_CORE, KIND_L_ODD, CanonicalDoubleSpider, EdgeAddress,
+                      InvalidSpider, Parameters, SpiderTree, derive_parameters, edge_addresses,
                       pendant_paths, unit_runs)
 from .trees import Edge, Tree, edge_key
 
@@ -25,35 +27,43 @@ class LabelingError(ValueError):
 
 
 class EdgeLabeling:
-    """A double spider's edge count and address-keyed labels.
+    """A double spider labeling: params and labels[e] for each edge id e of params' layout.
 
-    One built ``flat`` has labels[e] for each edge id e of params' layout
-    and builds its assignment on first use; any other has no params or labels.
+    ``EdgeLabeling(total_edges, assignment)`` reads an address-keyed mapping
+    once: its addresses fix the instance (the core length is the number of
+    core addresses, a path's length the number with its kind and index), and
+    LabelingError is raised unless they are exactly that instance's addresses
+    and it has total_edges edges.  ``flat`` takes the labels by edge id as
+    they are.  The assignment is built from the labels on first use.
     """
 
-    params = labels = None
-
-    def __init__(self, total_edges: int, assignment: dict[EdgeAddress, int]) -> None:
-        self.total_edges, self.assignment = total_edges, assignment
+    def __init__(self, total_edges: int, assignment: Mapping[EdgeAddress, int]) -> None:
+        lengths = Counter((a.kind, a.i) for a in assignment)
+        s = lengths.pop((KIND_CORE, 0), 0)
+        left = [n for (kind, _), n in lengths.items() if kind >= KIND_L_ODD]
+        right = [n for (kind, _), n in lengths.items() if kind < KIND_L_ODD]
+        try:
+            p = derive_parameters(CanonicalDoubleSpider(s, tuple(left), tuple(right)))
+        except InvalidSpider as exc:
+            raise LabelingError(f"the labeled addresses describe no double spider: {exc}") from None
+        addresses = edge_addresses(p)
+        if total_edges != p.m or assignment.keys() != set(addresses):
+            raise LabelingError("labeling does not cover exactly the instance's edges")
+        self.params, self.labels = p, list(map(assignment.__getitem__, addresses))
 
     @classmethod
     def flat(cls, p: Parameters, labels: list[int]) -> EdgeLabeling:
         out = cls.__new__(cls)
-        out.total_edges, out.params, out.labels = p.m, p, labels
+        out.params, out.labels = p, labels
         return out
+
+    @property
+    def total_edges(self) -> int:
+        return self.params.m
 
     @cached_property
     def assignment(self) -> dict[EdgeAddress, int]:
         return dict(zip(edge_addresses(self.params), self.labels))
-
-    def by_id(self, p: Parameters) -> list[int]:
-        """The label of each edge id in p's layout; LabelingError unless it covers p's edges."""
-        if self.params is p or self.params == p:
-            return self.labels
-        addresses = edge_addresses(p)
-        if self.assignment.keys() != set(addresses):
-            raise LabelingError("labeling does not cover exactly the instance's edges")
-        return list(map(self.assignment.__getitem__, addresses))
 
 
 @dataclass(frozen=True)
@@ -204,16 +214,19 @@ def vertex_sums(tree: Tree | SpiderTree, labeling) -> VertexSumReport:
     has such a v, paired with the first such v.  A non-bijective labeling gets
     the "bad-bijection" violation and all flags False.
 
-    A double spider (SpiderTree) takes an EdgeLabeling, checked by edge id
-    (``_strong_by_class``); its vertex ids are named only on a failure or
-    when the report's sums are read.  Any other Tree takes an edge-keyed
-    mapping.  Raises LabelingError when the labeled edges differ from the tree's.
+    A double spider (SpiderTree) takes an EdgeLabeling of its parameters,
+    checked by edge id (``_strong_by_class``); its vertex ids are named only
+    on a failure or when the report's sums are read.  Any other Tree takes an
+    edge-keyed mapping.  Raises LabelingError when the labeled edges differ
+    from the tree's.
     """
     if isinstance(labeling, EdgeLabeling) != isinstance(tree, SpiderTree):
-        raise LabelingError("an address-keyed labeling needs a materialized instance, "
-                            "an edge-keyed one a Tree")
+        raise LabelingError("an EdgeLabeling needs a materialized instance, "
+                            "an edge-keyed mapping a Tree")
     if isinstance(tree, SpiderTree):
-        labels = labeling.by_id(tree.params)
+        if labeling.params != tree.params:
+            raise LabelingError("labeling does not cover exactly the instance's edges")
+        labels = labeling.labels
         named = lambda: _named_sums(tree.vertices, tree.edges, labels)  # noqa: E731
         bijection_ok = verify_bijection(labeling)
         if bijection_ok and _strong_by_class(tree.params, labels):
@@ -244,12 +257,8 @@ def first_duplicate(report: VertexSumReport) -> SumViolation | None:
 
 def verify_bijection(labeling: EdgeLabeling | Mapping) -> bool:
     """True iff the labels are exactly {1..m} with no repeats."""
-    if isinstance(labeling, EdgeLabeling):
-        values = labeling.assignment.values() if labeling.labels is None else labeling.labels
-        m = labeling.total_edges
-    else:
-        values, m = labeling.values(), len(labeling)
-    return sorted(values) == list(range(1, m + 1))
+    values = labeling.labels if isinstance(labeling, EdgeLabeling) else labeling.values()
+    return sorted(values) == list(range(1, len(values) + 1))
 
 
 def verify_antimagic(tree: Tree | SpiderTree, labeling) -> bool:
@@ -296,7 +305,7 @@ class LabeledSpider:
 
     @cached_property
     def labels(self) -> dict[Edge, int]:
-        return dict(zip(self.spider.edges, self.labeling.by_id(self.spider.params)))
+        return dict(zip(self.spider.edges, self.labeling.labels))
 
     @property
     def total_edges(self) -> int:

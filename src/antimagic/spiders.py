@@ -78,13 +78,12 @@ class CanonicalDoubleSpider(DoubleSpiderSpec):
 
 
 def _oriented_ok(left: tuple[int, ...], right: tuple[int, ...]) -> bool:
+    """More paths on the left; on a tie, more copies of the least length on the
+    right; on a tie again, the lexicographically larger lengths on the left."""
     if len(left) != len(right):
         return len(left) > len(right)
     gmin = min(left[0], right[0])
-    copies_l, copies_r = left.count(gmin), right.count(gmin)
-    if copies_l != copies_r:
-        return copies_r > copies_l
-    return right <= left
+    return (right.count(gmin), left) >= (left.count(gmin), right)
 
 
 def canonicalize(spec: DoubleSpiderSpec) -> CanonicalDoubleSpider:
@@ -167,7 +166,7 @@ class EdgeAddress(NamedTuple):
     """
 
     kind: int
-    i: int = 0
+    i: int
     j: int = 0
 
     @staticmethod
@@ -305,7 +304,7 @@ def edge_addresses(p: Parameters) -> list[EdgeAddress]:
 
 @dataclass(frozen=True)
 class SpiderTree:
-    """An instance and its parameters; vertex ids, edges, address -> edge map and Tree on first use."""
+    """An instance and its parameters; vertex ids, edges by edge id and Tree on first use."""
 
     instance: CanonicalDoubleSpider
     params: Parameters
@@ -328,10 +327,6 @@ class SpiderTree:
 
     vertices = property(lambda self: self._named[0])
     edges = property(lambda self: self._named[1])  # each edge's endpoints, by edge id
-
-    @cached_property
-    def edge_of(self) -> dict[EdgeAddress, Edge]:
-        return dict(zip(edge_addresses(self.params), self.edges))
 
     @cached_property
     def tree(self) -> Tree:
@@ -366,7 +361,7 @@ def classify(p: Parameters) -> CaseTag:
         return CaseTag.EQUAL_DEG3 if p.deg_vl == 3 else CaseTag.EQUAL_DEG_HIGH
     if p.b >= 1:
         return CaseTag.UNEQUAL_EVEN_RIGHT
-    if max(p.x, default=0) >= 1:
+    if max(p.x) >= 1:  # b = 0 here, so the right side's paths are all odd
         return CaseTag.UNEQUAL_ODD_RIGHT
     return CaseTag.UNEQUAL_ALL_UNIT_RIGHT
 

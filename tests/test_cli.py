@@ -5,7 +5,8 @@ import hashlib
 import pytest
 
 from antimagic.cli import main
-from antimagic.spiders import SpiderTree
+from antimagic.fileio import format_instance
+from antimagic.spiders import SpiderTree, enumerate_instances
 
 SPECIAL = "core = 2\nleft = 3,1\nright = 1,1\n"
 
@@ -187,8 +188,8 @@ def _moved(old, new):
     return [(new if a == old else a, x) for a, x in RECORDS]
 
 
-# name -> (labeling text, `verify --strong` exit code, stdout, stderr), each
-# output as the address-keyed reader gave it before the flat one
+# name -> (labeling text, `verify --strong` exit code, stdout, stderr); the
+# outputs are pinned, so a change to the reader must leave them as they are
 MALFORMED = {
     "case-and-spacing": (
         "M=8\n" + "".join(f"EDGE={' / '.join(a.split('/'))} ,LABEL= {x}\n" for a, x in RECORDS),
@@ -352,6 +353,20 @@ def test_oracle_labeling_passes_verify(tmp_path, capsys, text):
     lab = tmp_path / "oracle.lab"
     lab.write_text(labeling)
     assert main(["verify", "--spec", str(spec), "--labeling", str(lab), "--strong"]) == 0
+
+
+def test_oracle_output_is_pinned(tmp_path, capsys):
+    # one digest over the `oracle --strong` stdout of every instance with m <= 12
+    spec = tmp_path / "inst.txt"
+    digest = hashlib.sha256()
+    count = 0
+    for c in enumerate_instances(12):
+        spec.write_text(format_instance(c))
+        main(["oracle", "--spec", str(spec), "--strong", "--max-edges", "12"])
+        digest.update(capsys.readouterr().out.encode())
+        count += 1
+    assert count == 843
+    assert digest.hexdigest() == "d9a9f856228f9ffa77339f93121ce56c6c9cf71d4c1c9388491b0cb818310d0c"
 
 
 def test_oracle_budget_exhaustion(tmp_path, capsys):

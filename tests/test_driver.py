@@ -183,10 +183,10 @@ def test_label_and_verify_build_no_tree(spec, monkeypatch, tmp_path):
 
 
 def test_label_names_no_vertex_and_no_address(monkeypatch):
-    # the label path stays on edge ids: vertex ids and the address-keyed
-    # dict are built only when a caller reads them
+    # the label path stays on edge ids: vertex ids and a labeling's
+    # assignment (its labels by address) are built only when a caller reads them
     def refuse(self):
-        raise AssertionError("built vertex ids or an address-keyed labeling")
+        raise AssertionError("built vertex ids or an assignment")
 
     monkeypatch.setattr(SpiderTree, "_named", property(refuse))
     monkeypatch.setattr(EdgeLabeling, "assignment", property(refuse))

@@ -27,7 +27,7 @@ from antimagic.labelers import (
 )
 from antimagic import driver, labelers
 from antimagic.labelers import SPECIAL_INSTANCE
-from antimagic.spiders import KIND_R_EVEN
+from antimagic.spiders import KIND_R_EVEN, edge_addresses
 
 
 def params(core, left, right):
@@ -37,7 +37,8 @@ def params(core, left, right):
 def pendant_addresses(c):
     """Addresses of the edges of c that end in a leaf."""
     sp = materialize_tree(c)
-    return {a for a, (u, v) in sp.edge_of.items() if 1 in (sp.tree.degree(u), sp.tree.degree(v))}
+    return {a for a, (u, v) in zip(edge_addresses(sp.params), sp.edges)
+            if 1 in (sp.tree.degree(u), sp.tree.degree(v))}
 
 
 def label(core, left, right):

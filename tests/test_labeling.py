@@ -22,7 +22,7 @@ from antimagic import (
 from antimagic.labelers import SPECIAL_INSTANCE_ASSIGNMENT
 from antimagic.labelers import SPECIAL_INSTANCE
 from antimagic.labeling import SumViolation, _first_pair, _strong_by_class, first_duplicate
-from antimagic.spiders import pendant_paths, unit_runs
+from antimagic.spiders import edge_addresses, pendant_paths, unit_runs
 from antimagic.trees import edge_key, path_tree
 
 
@@ -62,18 +62,36 @@ def test_vertex_sums_rejects_mismatched_edges():
 
 def test_vertex_sums_rejects_mismatched_pairing():
     spider, labeling = special()
-    with pytest.raises(LabelingError, match="address-keyed labeling needs"):
+    with pytest.raises(LabelingError, match="EdgeLabeling needs a materialized instance"):
         vertex_sums(path_tree(3), labeling)
-    with pytest.raises(LabelingError, match="address-keyed labeling needs"):
-        vertex_sums(spider, {spider.edge_of[a]: lab for a, lab in labeling.assignment.items()})
+    with pytest.raises(LabelingError, match="EdgeLabeling needs a materialized instance"):
+        vertex_sums(spider, dict(zip(spider.edges, labeling.labels)))
 
 
 def test_vertex_sums_rejects_labeling_missing_an_address():
+    # an address-keyed labeling is checked as it is built: its addresses
+    # must be exactly those of the instance they describe, with m edges
     spider, labeling = special()
     partial = dict(labeling.assignment)
     del partial[EdgeAddress.core(1)]
+    extra = {**labeling.assignment, EdgeAddress.l_unit(3): 9}
+    wider_right = {**labeling.assignment, EdgeAddress.r_odd(3, 1): 9, EdgeAddress.r_odd(4, 1): 10}
+    cases = [(8, partial), (7, partial), (9, extra), (8, extra), (7, labeling.assignment),
+             (9, labeling.assignment), (0, {}), (10, wider_right)]
+    for m, assignment in cases:
+        with pytest.raises(LabelingError):
+            vertex_sums(spider, EdgeLabeling(m, assignment))
+    for m, assignment in (8, partial), (9, extra):
+        with pytest.raises(LabelingError, match="cover exactly the instance's edges"):
+            EdgeLabeling(m, assignment)
+    with pytest.raises(LabelingError, match="describe no double spider: the left hub"):
+        EdgeLabeling(10, wider_right)
+    with pytest.raises(LabelingError, match="describe no double spider: core length"):
+        EdgeLabeling(0, {})
+    # a labeling of another instance
+    other = strongly_antimagic_label(DoubleSpiderSpec(1, (1, 1, 1, 1), (1, 1, 1))).labeling
     with pytest.raises(LabelingError, match="cover exactly the instance's edges"):
-        vertex_sums(spider, EdgeLabeling(8, partial))
+        vertex_sums(spider, other)
 
 
 def test_verify_bijection():
@@ -248,8 +266,9 @@ def test_report_matches_quadratic_reference(case):
     rep = vertex_sums(spider.tree, labels)
     ref = reference_report(spider.tree, labels)
     assert {k: getattr(rep, k) for k in ref} == ref
-    # the address-keyed path walks the spider's edge map and builds no Tree
-    addressed = EdgeLabeling(spider.params.m, {a: labels[e] for a, e in spider.edge_of.items()})
+    # the same labels, keyed by address, checked by edge id on the spider
+    addresses = edge_addresses(spider.params)
+    addressed = EdgeLabeling(spider.params.m, {a: labels[e] for a, e in zip(addresses, spider.edges)})
     assert {k: getattr(vertex_sums(spider, addressed), k) for k in ref} == ref
     if rep.bijection_ok:
         sums, deg = ref["sums"], spider.tree.degree
@@ -265,13 +284,16 @@ def test_report_matches_quadratic_reference(case):
 def test_flat_spider_verifier_matches_the_tree_verifier():
     # every instance with m <= 12: the driver's labeling, three seeded
     # one-swap tamperings and one repeated label, each checked flat on the
-    # spider and, as the reference, edge-keyed on its plain Tree
+    # spider and, as the reference, edge-keyed on its plain Tree; the
+    # driver's labeling, rebuilt from its assignment, is the same flat one
     rng = random.Random(12)
     keys = ("bijection_ok", "antimagic_ok", "strong_ok", "violation")
     strong = weak = 0
     for c in enumerate_instances(12):
         lt = strongly_antimagic_label(c)
         spider, p = lt.spider, lt.spider.params
+        addressed = EdgeLabeling(p.m, lt.labeling.assignment)
+        assert addressed.params == p and addressed.labels == lt.labeling.labels
         cases = [list(lt.labeling.labels)]
         for _ in range(3):
             labels = list(cases[0])
@@ -283,7 +305,7 @@ def test_flat_spider_verifier_matches_the_tree_verifier():
         cases.append(repeated)
         for labels in cases:
             flat = vertex_sums(spider, EdgeLabeling.flat(p, labels))
-            ref = vertex_sums(spider.tree, dict(zip(spider.edge_of.values(), labels)))
+            ref = vertex_sums(spider.tree, dict(zip(spider.edges, labels)))
             assert [getattr(flat, k) for k in keys] == [getattr(ref, k) for k in keys]
             assert flat.sums == ref.sums and flat.degree_classes == ref.degree_classes
             if ref.bijection_ok:
@@ -331,7 +353,7 @@ def test_flat_verifier_matches_the_tree_verifier_on_many_unit_paths():
                 cases.append(labels)
         for labels in cases:
             flat = vertex_sums(spider, EdgeLabeling.flat(p, labels))
-            ref = vertex_sums(spider.tree, dict(zip(spider.edge_of.values(), labels)))
+            ref = vertex_sums(spider.tree, dict(zip(spider.edges, labels)))
             assert [getattr(flat, k) for k in keys] == [getattr(ref, k) for k in keys]
             assert flat.sums == ref.sums
             assert _strong_by_class(p, labels) == ref.strong_ok

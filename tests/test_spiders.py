@@ -19,7 +19,8 @@ from antimagic import (
     parse_address,
 )
 from antimagic.labelers import SPECIAL_INSTANCE
-from antimagic.spiders import KIND_CORE, KIND_L_UNIT, KIND_R_ODD, address_rows, pendant_paths, unit_runs
+from antimagic.spiders import (KIND_CORE, KIND_L_UNIT, KIND_R_ODD, address_rows, edge_addresses, pendant_paths,
+                               unit_runs)
 
 
 def spec(core, left, right):
@@ -176,13 +177,14 @@ def test_materialize_address_bijection():
         sp = materialize_tree(c)
         addrs = expected_addresses(sp.params)
         assert len(addrs) == sp.params.m
+        edge_of = dict(zip(edge_addresses(sp.params), sp.edges))
         # addresses sort as tuples into the labeling file's order
-        assert sorted(sp.edge_of) == addrs
-        assert len(set(sp.edge_of.values())) == sp.params.m
-        assert tuple(sp.edge_of.values()) == sp.tree.edges
+        assert sorted(edge_of) == addrs
+        assert len(set(edge_of.values())) == sp.params.m
+        assert tuple(edge_of.values()) == sp.tree.edges
         assert sp.tree.vertices == sp.vertices
         # a path edge's far end is the vertex named by its address
-        assert all(a.text in e for a, e in sp.edge_of.items() if a.kind != KIND_CORE)
+        assert all(a.text in e for a, e in edge_of.items() if a.kind != KIND_CORE)
         high = sorted(v for v in sp.tree.vertices if sp.tree.degree(v) >= 3)
         assert high == ["vl", "vr"]
         assert sp.tree.degree("vl") >= sp.tree.degree("vr")
