@@ -21,11 +21,12 @@ records may come in any order.
 from __future__ import annotations
 
 import re
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator
 
 from .labeling import EdgeLabeling
 from .spiders import (
+    HUB_LEFT,
     KIND_CORE,
     KIND_L_UNIT,
     KIND_NAMES,
@@ -38,6 +39,7 @@ from .spiders import (
     address_rows,
     edge_addresses,
     parse_address,
+    pendant_paths,
     unit_runs,
 )
 
@@ -131,7 +133,7 @@ def parse_labeling(text: str, p: Parameters) -> EdgeLabeling:
         m = int(value.strip())
     except ValueError:
         raise FormatError(f"bad edge count: {value.strip()!r}") from None
-    rows, runs = address_rows(p, units=False), [range(0)] * len(KIND_NAMES)
+    rows, runs = address_rows(p), [range(0)] * len(KIND_NAMES)
     runs[KIND_R_ODD], runs[KIND_L_UNIT] = unit_runs(p)
     first = [len(run) + (kind != KIND_CORE) for kind, run in enumerate(runs)]  # i of rows[kind][0]
     flat = [None] * m if m == p.m == len(lines) - 1 else None
@@ -166,16 +168,16 @@ def parse_labeling(text: str, p: Parameters) -> EdgeLabeling:
 
 
 def format_labeling(labeling: EdgeLabeling) -> str:
-    """The labeling file text, in address order: written from the layout row by
-    row, and each side's unit paths as one run."""
-    lines, lab = [f"m = {labeling.total_edges}"], labeling.labels
-    right, left = (lab[run.start:run.stop] for run in unit_runs(labeling.params))
-    for kind, rows in enumerate(address_rows(labeling.params, units=False)):
-        if kind == KIND_R_ODD:
-            lines += (f"edge = R/odd/{i}/1, label = {x}" for i, x in enumerate(right, 1))
-        for i, row in enumerate(rows, start=(kind != KIND_CORE) + len(right) * (kind == KIND_R_ODD)):
-            prefix = EdgeAddress(kind, i).text[:-1]  # the text up to j = 0
-            lines += (f"edge = {prefix}{j}, label = {lab[e]}" for j, e in enumerate(row, 1))
+    """The labeling file text, in address order: the core, each side's unit
+    paths as one run, and the long paths of the layout in between."""
+    lines, lab, p = [f"m = {labeling.total_edges}"], labeling.labels, labeling.params
+    right, left = (lab[run.start:run.stop] for run in unit_runs(p))
+    lines += (f"edge = core/{j}, label = {x}" for j, x in enumerate(lab[:p.s], 1))
+    lines += (f"edge = R/odd/{i}/1, label = {x}" for i, x in enumerate(right, 1))
+    for hub, kind, i, ids in pendant_paths(p, units=False):
+        prefix = f"edge = {KIND_NAMES[kind]}/{i}/"
+        row = ids[::-1] if hub == HUB_LEFT else ids  # by ascending j
+        lines += (f"{prefix}{j}, label = {lab[e]}" for j, e in enumerate(row, 1))
     lines += (f"edge = L/unit/{i}, label = {x}" for i, x in enumerate(left, 1))
     return "\n".join(lines) + "\n"
 
@@ -188,8 +190,9 @@ def export_dot(spider: SpiderTree, labeling: EdgeLabeling | None = None) -> str:
         labels = labeling.labels
     lines = ["graph doublespider {"]
     lines += (f'  "{v}";' for v in spider.vertices)
-    edges = spider.edges
-    for e in (e for rows in address_rows(spider.params) for row in rows for e in row):
+    edges, (core, *rows, _) = spider.edges, address_rows(spider.params)
+    right, left = unit_runs(spider.params)
+    for e in chain.from_iterable(chain(core, [right], *rows, [left])):
         u, v = edges[e]
         lines.append(f'  "{u}" -- "{v}";' if labeling is None
                      else f'  "{u}" -- "{v}" [label={labels[e]}];')

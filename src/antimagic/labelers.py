@@ -1,16 +1,16 @@
 """Step-by-step constructive labelers for the four double spider cases.
 
 Each labeler walks a fixed sequence of steps, assigning 1..m to edge ids;
-steps whose slices are empty are skipped.  A step takes every other edge,
-or one end edge, of some path rows: ranges of edge ids from the layout in
-spiders.pendant_paths.  Every step takes the next block of labels, those
-just above the earlier steps' labels, rising or falling in the order it
-emits its edges; only the even-right labeler's Step 1, which interleaves
-2i - 1 and 2i, places its two strided blocks itself.  Each labeler has one
-entry point, its ``*_steps`` function, which returns Steps: the flat list of
-labels by edge id, and the blocks that placed them.  The driver reads the
-list; iterating the Steps expands the blocks into StepEvents, so callers can
-audit exactly which step placed which label.
+steps whose slices are empty are skipped.  A step takes every other edge, or
+one end edge, of some path rows, or a slice of a unit run: ranges of edge ids
+from the layout in spiders.pendant_paths.  Every step takes the next block of
+labels, those just above the earlier steps' labels, rising or falling in the
+order it emits its edges; only the even-right labeler's Step 1, which
+interleaves 2i - 1 and 2i, places its two strided blocks itself.  Each
+labeler has one entry point, its ``*_steps`` function, which returns Steps:
+the flat list of labels by edge id, and the blocks that placed them.  The
+driver reads the list; iterating the Steps expands the blocks into
+StepEvents, so callers can audit exactly which step placed which label.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .labeling import EdgeLabeling, LabeledSpider, labeled_spider
 from .spiders import (
-    KIND_CORE,
-    KIND_L_UNIT,
     CanonicalDoubleSpider,
     EdgeAddress,
     Parameters,
@@ -28,6 +26,7 @@ from .spiders import (
     derive_parameters,
     edge_addresses,
     materialize_tree,
+    unit_runs,
 )
 
 # The one instance whose shape fits the two-path right-hub rules but whose
@@ -72,11 +71,10 @@ class Steps:
 
 
 def _paths(p: Parameters) -> list:
-    """spiders.address_rows with the core as one row and the unit edges as one list."""
-    rows: list = address_rows(p)
-    rows[KIND_CORE] = rows[KIND_CORE][0]
-    rows[KIND_L_UNIT] = [row[0] for row in rows[KIND_L_UNIT]]
-    return rows
+    """[core, r_odd, r_even, l_odd, l_even, right, left]: the core row and long path
+    rows of spiders.address_rows, then the right and left runs of spiders.unit_runs."""
+    core, r_odd, r_even, l_odd, l_even, _ = address_rows(p)
+    return [core[0], r_odd, r_even, l_odd, l_even, *unit_runs(p)]
 
 
 def _every_other(rows: list[range], start: int, stop: int | None = None) -> list[int]:
@@ -139,9 +137,8 @@ def type_a_steps(p: Parameters) -> Steps:
     """Closed-form labeling for the two-units-per-side case."""
     if not is_type_a(p):
         raise UnsupportedCase("type (a) needs two unit paths on each side and nothing else")
-    core, r_odd, _, _, _, left = _paths(p)
+    core, _, _, _, _, right, left = _paths(p)
     odd = p.s % 2 == 1
-    right = [row[0] for row in r_odd]
     ev = Steps(p)
     _next_block(ev, 1, core[1::2], falling=odd)
     _next_block(ev, 2, right if odd else left)
@@ -155,12 +152,12 @@ def type_a_steps(p: Parameters) -> Steps:
 # ---------------------------------------------------------------------------
 
 
-def _type_bc_entry(p: Parameters) -> tuple[int, int]:
-    """Check the entry conditions of the eleven-step labeler; return (k, t').
-
-    k is the length of the non-designated right path; t' switches the
-    Step-5 ordering.
-    """
+def _type_bc_entry(p: Parameters) -> bool:
+    """Check the entry conditions of the eleven-step labeler; return t', which
+    switches the Step-5 ordering.  The printed rule's clause k >= 2 (k the
+    length of the right path other than the unit) is implied: with t = 1,
+    deg(vl) = 3 and c = 1 leave d = 0, so s = 2, w_1 = 1 and k = 1 make the
+    special instance, rejected here."""
     if p.deg_vr != 3 or p.a < 1 or p.x[0] != 0:
         raise UnsupportedCase("types (b)/(c) need a degree-3 right hub with a unit path")
     if p.t > 1:
@@ -169,20 +166,16 @@ def _type_bc_entry(p: Parameters) -> tuple[int, int]:
         raise UnsupportedCase("a left unit path is only allowed when both hubs have degree 3")
     if p == _SPECIAL_PARAMETERS:
         raise UnsupportedCase("this is the special instance with its own fixed labeling")
-    k = 2 * p.y[0] if p.b == 1 else 2 * p.x[1] + 1
-    t_prime = 1 if (p.t == 1 and p.d == 1) or (
-        p.t == 1 and p.s == 2 and p.c == 1 and p.w[0] == 1 and k >= 2
-    ) else 0
-    # The checks above leave slack in the step bookkeeping: deg(vl) >= 3 gives
-    # c + d + t >= 2, so k//2 + c - [c >= 1] + sum(z) + t >= 1; and t' = 1
-    # needs d = 1 or k >= 2, so then k//2 + sum(z) >= 1.
-    return k, t_prime
+    return p.t == 1 and (p.d == 1 or (p.s == 2 and p.c == 1 and p.w[0] == 1))
 
 
 def type_bc_steps(p: Parameters) -> Steps:
-    k, t_prime = _type_bc_entry(p)
-    core, r_odd, r_even, l_odd, l_even, units = _paths(p)
-    pk = r_odd[1] if k % 2 == 1 else r_even[0]
+    t_prime = _type_bc_entry(p)
+    core, r_odd, r_even, l_odd, l_even, right, units = _paths(p)
+    pk = (r_even or r_odd or [right[1:]])[0]  # the right path other than the unit
+    # With k = len(Pk), the entry checks leave slack in the step bookkeeping:
+    # deg(vl) >= 3 gives c + d + t >= 2, so k//2 + c - [c >= 1] + sum(z) + t >= 1;
+    # and t' = 1 needs d = 1 or k >= 2, so then k//2 + sum(z) >= 1.
     ev = Steps(p)
 
     # Step 1: even edges of Pk.
@@ -198,10 +191,10 @@ def type_bc_steps(p: Parameters) -> Steps:
     _next_block(ev, 4, _every_other(l_even, 0))
 
     # Step 5: the right unit edge and the left unit edge, order set by t'.
-    if t_prime == 1:
-        _next_block(ev, 5, [r_odd[0][0]] + units)
+    if t_prime:
+        _next_block(ev, 5, [right[0], *units])
     else:
-        _next_block(ev, 5, units + [r_odd[0][0]])
+        _next_block(ev, 5, [*units, right[0]])
 
     # Step 6: odd edges of Pk.
     _next_block(ev, 6, pk[0::2], falling=True)
@@ -266,12 +259,12 @@ def _check_odd_right(p: Parameters) -> None:
 
 def odd_right_steps(p: Parameters) -> Steps:
     _check_odd_right(p)
-    core, r_odd, _, l_odd, l_even, units = _paths(p)
+    core, r_odd, _, l_odd, l_even, right, units = _paths(p)
     top = r_odd[-1]
     ev = Steps(p)
 
     # Step 1: odd edges of odd right paths; the top path's hub edge waits.
-    _next_block(ev, 1, _every_other(r_odd[:-1], 0) + [*top[2::2]])
+    _next_block(ev, 1, [*right, *_every_other(r_odd[:-1], 0), *top[2::2]])
 
     # Step 2: odd edges of long odd left paths; hub edges wait for Step 11.
     _next_block(ev, 2, _every_other(l_odd, 0, -1))
@@ -349,7 +342,7 @@ def even_right_steps(p: Parameters) -> Steps:
     # deg(vl) > deg(vr) is c + d + t > a + b, so t > a + 1 + alpha >= 1 + beta.
     alpha = max(0, (p.b - 1) - (p.c + p.d))
     beta = min(alpha, p.y.count(1))
-    core, r_odd, r_even, l_odd, l_even, units = _paths(p)
+    core, r_odd, r_even, l_odd, l_even, right, units = _paths(p)
     if needs_hub_gap_repair(p):
         # the steps then give each edge of R/even/1 its mirror image's label
         r_even[0] = r_even[0][::-1]
@@ -364,7 +357,7 @@ def even_right_steps(p: Parameters) -> Steps:
     _next_block(ev, 2, _every_other(switched, 3) + _every_other(unswitched, 1))
 
     # Step 3: odd edges of odd right paths.
-    _next_block(ev, 3, _every_other(r_odd, 0))
+    _next_block(ev, 3, [*right, *_every_other(r_odd, 0)])
 
     # Step 4: odd edges of long odd left paths; hub edges wait for Step 18.
     _next_block(ev, 4, _every_other(l_odd, 0, -1))

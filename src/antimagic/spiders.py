@@ -162,12 +162,12 @@ class EdgeAddress(NamedTuple):
     Path edges carry the path index i within their parity class and the
     position j along the path; on right paths j grows away from vr (the
     pendant edge has maximal j), on left paths the pendant edge has j = 1.
-    Unit left paths carry only i.
+    Unit left paths carry i and j = 0.
     """
 
     kind: int
     i: int
-    j: int = 0
+    j: int
 
     @staticmethod
     def core(j: int) -> "EdgeAddress":
@@ -270,14 +270,14 @@ def unit_runs(p: Parameters) -> tuple[range, range]:
     return range(p.s, p.s + p.x.count(0)), range(p.m - p.t, p.m)
 
 
-def address_rows(p: Parameters, units: bool = True) -> list[list[range]]:
-    """The edge ids in address order: rows[kind] lists each path's ids by ascending j.
+def address_rows(p: Parameters) -> list[list[range]]:
+    """The core's and long paths' edge ids: rows[kind] lists each path's ids by ascending j.
 
-    The core is the one row of its kind; left rows are reversed paths.  With
-    units False the unit paths have no rows (see unit_runs).
+    The core is the one row of its kind; left rows are reversed paths.  The
+    unit paths have no rows; unit_runs(p) holds their ids.
     """
     rows: list[list[range]] = [[range(p.s)]] + [[] for _ in KIND_NAMES[1:]]
-    for hub, kind, _, ids in pendant_paths(p, units):
+    for hub, kind, _, ids in pendant_paths(p, units=False):
         rows[kind].append(ids if hub == HUB_RIGHT else ids[::-1])
     return rows
 

@@ -265,3 +265,21 @@ def test_large_route_labelings_and_traces_are_pinned():
         assert classify(derive_parameters(canonicalize(spec))) is tag
     digest = _labeling_digest(spec for spec, _ in ROUTE_LARGE_SPECS)
     assert digest == "1a94bd0514d1e3dcacb81098c9be98ac004e0b9e4cd8d7ec16563ae7d5b103f1"
+
+
+# Direct-route specs with hundreds of unit paths on both sides; the third has
+# alpha = beta = 39, so the even-right Step 1 interleaves switched length-2
+# paths with left unit paths.
+UNIT_HEAVY_SPECS = [
+    (DoubleSpiderSpec(6, (1,) * 300 + (3, 4, 5), (1,) * 200 + (3, 5)), CaseTag.UNEQUAL_ODD_RIGHT),
+    (DoubleSpiderSpec(7, (1,) * 300 + (3, 4), (1,) * 150 + (7,)), CaseTag.UNEQUAL_ODD_RIGHT),
+    (DoubleSpiderSpec(6, (1,) * 300 + (3, 4), (1,) * 100 + (2,) * 40 + (4, 6)), CaseTag.UNEQUAL_EVEN_RIGHT),
+    (DoubleSpiderSpec(5, (1,) * 250 + (5,), (1,) * 120 + (2, 6)), CaseTag.UNEQUAL_EVEN_RIGHT),
+]
+
+
+def test_unit_heavy_direct_labelings_and_traces_are_pinned():
+    for spec, tag in UNIT_HEAVY_SPECS:
+        assert classify(derive_parameters(canonicalize(spec))) is tag
+    digest = _labeling_digest(spec for spec, _ in UNIT_HEAVY_SPECS)
+    assert digest == "33435882fbb217a08f53a700ff38c51c0a2556b47c32f357177802b170826a63"

@@ -325,7 +325,7 @@ def test_unit_runs_are_the_unit_paths_of_the_layout():
         assert [(hub, kind, i, ids[0]) for hub, kind, i, ids in units] == (
             [("vr", KIND_R_ODD, i, e) for i, e in enumerate(right, 1)]
             + [("vl", KIND_L_UNIT, i, e) for i, e in enumerate(left, 1)])
-        rows = address_rows(p)
-        rows[KIND_R_ODD] = rows[KIND_R_ODD][len(right):]
-        rows[KIND_L_UNIT] = []
-        assert address_rows(p, units=False) == rows
+        rows = [[range(p.s)]] + [[] for _ in range(KIND_L_UNIT)]
+        for hub, kind, _, ids in pendant_paths(p, units=False):
+            rows[kind].append(ids if hub == "vr" else ids[::-1])
+        assert address_rows(p) == rows
